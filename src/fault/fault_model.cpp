@@ -86,33 +86,51 @@ bool FaultModel::link_dropped(int a, int b, double t) const {
 
 std::vector<std::pair<int, int>> FaultModel::dropped_links(double t) const {
   std::vector<std::pair<int, int>> out;
+  dropped_links_into(t, out);
+  return out;
+}
+
+void FaultModel::dropped_links_into(
+    double t, std::vector<std::pair<int, int>>& out) const {
+  out.clear();
   for (const FaultEvent& e : schedule_.events) {
     if (e.kind == FaultKind::kLinkDropout && window_active(e, t)) {
       out.emplace_back(std::min(e.link_a, e.link_b),
                        std::max(e.link_a, e.link_b));
     }
   }
-  return out;
 }
 
 std::vector<const FaultEvent*> FaultModel::activated(double t_prev,
                                                      double t) const {
   std::vector<const FaultEvent*> out;
+  activated_into(t_prev, t, out);
+  return out;
+}
+
+void FaultModel::activated_into(double t_prev, double t,
+                                std::vector<const FaultEvent*>& out) const {
+  out.clear();
   for (const FaultEvent& e : schedule_.events) {
     if (e.t_start > t_prev && e.t_start <= t) out.push_back(&e);
   }
-  return out;
 }
 
 std::vector<const FaultEvent*> FaultModel::cleared(double t_prev,
                                                    double t) const {
   std::vector<const FaultEvent*> out;
+  cleared_into(t_prev, t, out);
+  return out;
+}
+
+void FaultModel::cleared_into(double t_prev, double t,
+                              std::vector<const FaultEvent*>& out) const {
+  out.clear();
   for (const FaultEvent& e : schedule_.events) {
     if (e.kind == FaultKind::kCrash) continue;
     double end = e.t_end();
     if (end > t_prev && end <= t) out.push_back(&e);
   }
-  return out;
 }
 
 Vec2 FaultModel::noise_offset(int robot, std::int64_t tick,

@@ -49,6 +49,15 @@ class FaultModel {
   /// Transient events whose window closes in (t_prev, t].
   std::vector<const FaultEvent*> cleared(double t_prev, double t) const;
 
+  /// As the three queries above, but written into a caller-owned buffer
+  /// (cleared first), so per-tick callers do not allocate.
+  void dropped_links_into(double t,
+                          std::vector<std::pair<int, int>>& out) const;
+  void activated_into(double t_prev, double t,
+                      std::vector<const FaultEvent*>& out) const;
+  void cleared_into(double t_prev, double t,
+                    std::vector<const FaultEvent*>& out) const;
+
   /// Deterministic GPS-noise offset for `robot` at `tick`, standard
   /// deviation `sigma` per axis. Pure function of (seed, robot, tick).
   Vec2 noise_offset(int robot, std::int64_t tick, double sigma) const;

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "march/metrics.h"
@@ -67,27 +70,46 @@ struct Bot {
 std::string robot_detail(int orig) { return "robot " + std::to_string(orig); }
 
 /// Largest edge of the Euclidean MST: the smallest radius at which `pts`
-/// form one component. Prim, O(n^2), runs once per execution.
+/// form one component; 0 for fewer than two points. Prim, O(n^2): `rest`
+/// holds the points outside the tree, `best` their distance to it.
 double bottleneck_radius(const std::vector<Vec2>& pts) {
   const std::size_t n = pts.size();
   if (n <= 1) return 0.0;
   std::vector<double> best(n, std::numeric_limits<double>::infinity());
-  std::vector<char> in_tree(n, 0);
-  best[0] = 0.0;
+  std::vector<std::size_t> rest(n - 1);
+  std::iota(rest.begin(), rest.end(), std::size_t{1});
+  std::size_t u = 0;
   double bottleneck = 0.0;
-  for (std::size_t it = 0; it < n; ++it) {
-    std::size_t u = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!in_tree[i] && (u == n || best[i] < best[u])) u = i;
+  while (!rest.empty()) {
+    std::size_t pick = 0;
+    for (std::size_t k = 0; k < rest.size(); ++k) {
+      const std::size_t v = rest[k];
+      best[v] = std::min(best[v], distance(pts[u], pts[v]));
+      if (best[v] < best[rest[pick]]) pick = k;
     }
-    in_tree[u] = 1;
+    u = rest[pick];
     bottleneck = std::max(bottleneck, best[u]);
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!in_tree[v]) best[v] = std::min(best[v], distance(pts[u], pts[v]));
-    }
+    rest[pick] = rest.back();
+    rest.pop_back();
   }
   return bottleneck;
 }
+
+/// The connectivity guard's inputs and results from the last tick that
+/// computed them. The planned bottleneck is a pure function of the planned
+/// formation, and the monitor's verdict of (executed formation, range
+/// factor, dropped links, guard factor). Most ticks repeat the previous
+/// tick's inputs exactly — while paused the schedule clock is frozen and
+/// the formation stands still — and reuse its results.
+struct GuardMemo {
+  std::vector<Vec2> planned;  ///< bottleneck_radius({}) == 0 == bp
+  double bp = 0.0;
+  std::vector<Vec2> actual;
+  std::vector<std::pair<int, int>> dropped;
+  double range_factor = std::numeric_limits<double>::quiet_NaN();
+  double guard_factor = std::numeric_limits<double>::quiet_NaN();
+  net::ConnectivityMonitor::Verdict verdict;
+};
 
 std::string subject_detail(const fault::FaultEvent& e) {
   using fault::FaultKind;
@@ -152,7 +174,7 @@ ExecutionReport ExecutionEngine::run(const MarchPlan& plan,
   const auto initial_links = communication_links(plan.start, r_c_);
 
   fault::FaultModel model(schedule, opt_.noise_seed);
-  net::ConnectivityMonitor monitor(r_c_, opt_.guard_factor);
+  net::ConnectivityMonitor monitor(r_c_);
 
   std::vector<Bot> bots(n0);
   double horizon = 0.0;
@@ -196,8 +218,19 @@ ExecutionReport ExecutionEngine::run(const MarchPlan& plan,
     report.events.push_back(std::move(e));
   };
 
+  // Reused per-tick scratch.
+  std::vector<const fault::FaultEvent*> transitions;
+  std::vector<Vec2> actual;
+  std::vector<Vec2> planned_now;
+  std::vector<int> orig_to_alive(n0);
+  std::vector<std::pair<int, int>> dropped;
+  std::vector<std::pair<int, int>> dropped_alive;
+  std::vector<std::size_t> just_detected;
+  GuardMemo guard;
+
   // Faults whose window opens exactly at t = 0.
-  for (const fault::FaultEvent* fe : model.activated(-1.0, 0.0)) {
+  model.activated_into(-1.0, 0.0, transitions);
+  for (const fault::FaultEvent* fe : transitions) {
     log_fault(fe->t_start, ExecEventType::kFaultInjected, *fe);
   }
 
@@ -214,12 +247,6 @@ ExecutionReport ExecutionEngine::run(const MarchPlan& plan,
   int disconnects = 0;
   net::ConnectivityMonitor::Verdict verdict;
 
-  // Reused per-tick scratch.
-  std::vector<Vec2> actual;
-  std::vector<Vec2> planned_now;
-  std::vector<int> orig_to_alive(n0);
-  std::vector<std::pair<int, int>> dropped_alive;
-
   std::int64_t tick = 0;
   for (;;) {
     ++tick;
@@ -227,10 +254,12 @@ ExecutionReport ExecutionEngine::run(const MarchPlan& plan,
     t = static_cast<double>(tick) * dt;
 
     // --- fault window transitions (for the log) ---------------------------
-    for (const fault::FaultEvent* fe : model.activated(t_prev, t)) {
+    model.activated_into(t_prev, t, transitions);
+    for (const fault::FaultEvent* fe : transitions) {
       log_fault(fe->t_start, ExecEventType::kFaultInjected, *fe);
     }
-    for (const fault::FaultEvent* fe : model.cleared(t_prev, t)) {
+    model.cleared_into(t_prev, t, transitions);
+    for (const fault::FaultEvent* fe : transitions) {
       log_fault(fe->t_end(), ExecEventType::kFaultCleared, *fe);
     }
 
@@ -275,7 +304,8 @@ ExecutionReport ExecutionEngine::run(const MarchPlan& plan,
       actual.push_back(pos);
     }
     dropped_alive.clear();
-    for (const auto& [a, b] : model.dropped_links(t)) {
+    model.dropped_links_into(t, dropped);
+    for (const auto& [a, b] : dropped) {
       int ia = orig_to_alive[static_cast<std::size_t>(a)];
       int ib = orig_to_alive[static_cast<std::size_t>(b)];
       if (ia >= 0 && ib >= 0) dropped_alive.emplace_back(ia, ib);
@@ -289,13 +319,27 @@ ExecutionReport ExecutionEngine::run(const MarchPlan& plan,
     for (const Bot& b : bots) {
       if (!b.crashed) planned_now.push_back(b.traj.position(p_sched));
     }
-    double gf = opt_.guard_factor;
-    const double bp = bottleneck_radius(planned_now);
-    if (bp > gf * r_c_) {
-      // Quantized upward so the monitor's per-radius checker set stays small.
-      gf = std::min(1.0, std::ceil(1.02 * bp / r_c_ * 50.0) / 50.0);
+    if (planned_now != guard.planned) {
+      std::swap(planned_now, guard.planned);
+      guard.bp = bottleneck_radius(guard.planned);
     }
-    verdict = monitor.assess(actual, model.range_factor(t), dropped_alive, gf);
+    double gf = opt_.guard_factor;
+    if (guard.bp > gf * r_c_) {
+      // Quantized upward: gf moves only when the planned bottleneck
+      // crosses a 2% step, so it rarely invalidates the verdict memo.
+      gf = std::min(1.0, std::ceil(1.02 * guard.bp / r_c_ * 50.0) / 50.0);
+    }
+    const double range_factor = model.range_factor(t);
+    if (actual != guard.actual || dropped_alive != guard.dropped ||
+        range_factor != guard.range_factor || gf != guard.guard_factor) {
+      std::swap(actual, guard.actual);
+      std::swap(dropped_alive, guard.dropped);
+      guard.range_factor = range_factor;
+      guard.guard_factor = gf;
+      guard.verdict =
+          monitor.assess(guard.actual, range_factor, guard.dropped, gf);
+    }
+    verdict = guard.verdict;
     if (!verdict.guard_ok && was_guard_ok) ++guard_trips;
     was_guard_ok = verdict.guard_ok;
     if (!verdict.connected && was_connected) {
@@ -312,7 +356,7 @@ ExecutionReport ExecutionEngine::run(const MarchPlan& plan,
     was_connected = verdict.connected;
 
     // --- crash detection + peer absorb ------------------------------------
-    std::vector<std::size_t> just_detected;
+    just_detected.clear();
     for (std::size_t i = 0; i < bots.size(); ++i) {
       Bot& b = bots[i];
       if (b.crashed && !b.detected &&

@@ -602,6 +602,9 @@ MarchPlan MarchPlanner::plan_impl(const std::vector<Vec2>& positions,
     // is a typed degradation, tallied with the other fmm fallbacks.
     const int kGuardSamples = 257;
     std::vector<Vec2> guard_pos(n);
+    // One checker for every sample of every pass: consecutive samples move
+    // the swarm little, so its spatial index and adjacency stay warm.
+    net::IncrementalConnectivity guard_connectivity(r_c_);
     auto first_disconnect = [&]() {
       for (int k = 0; k < kGuardSamples; ++k) {
         const double tk =
@@ -609,7 +612,7 @@ MarchPlan MarchPlanner::plan_impl(const std::vector<Vec2>& positions,
         for (std::size_t r = 0; r < n; ++r) {
           guard_pos[r] = plan.trajectories[r].position(tk);
         }
-        if (!net::is_connected(guard_pos, r_c_)) return k;
+        if (!guard_connectivity.check(guard_pos)) return k;
       }
       return -1;
     };

@@ -6,26 +6,25 @@
 // pause-and-wait before the hard guarantee is lost — gaps grow by at most
 // one tick's travel, so a guard margin below 1.0 always fires first).
 //
-// Fast path: no dropped links -> the amortized allocation-free
-// net::IncrementalConnectivity, one checker per distinct effective radius
-// (radii change only when a range-degradation window opens or closes, so
-// the set stays tiny). Link-dropout windows force the exact slow path:
-// build the unit-disk adjacency, erase the dropped edges, BFS.
+// Both verdicts come from one minimax (bottleneck) spanning pass: Prim
+// over squared distances on the complete graph with the dropped links
+// removed yields b², the smallest squared radius at which the robots form
+// one component. Each verdict is then a single comparison against a
+// squared radius with the inclusive 1e-12 slack of GridIndex::visit_radius
+// and IncrementalConnectivity, so the booleans equal net::is_connected on
+// the unit-disk graph with the dropped edges erased, at any radius.
 #pragma once
 
-#include <map>
 #include <utility>
 #include <vector>
 
-#include "net/incremental_connectivity.h"
+#include "geom/vec2.h"
 
 namespace anr::net {
 
 class ConnectivityMonitor {
  public:
-  /// `guard_factor` scales the radius of the early-warning check; must be
-  /// in (0, 1].
-  explicit ConnectivityMonitor(double r_c, double guard_factor = 0.85);
+  explicit ConnectivityMonitor(double r_c);
 
   struct Verdict {
     bool connected = true;  ///< one component at the effective radius
@@ -33,29 +32,23 @@ class ConnectivityMonitor {
   };
 
   /// Assesses `pts` (the alive robots) with the communication range
-  /// scaled by `range_factor` and the given links (index pairs into
-  /// `pts`) forced down.
-  Verdict assess(const std::vector<Vec2>& pts, double range_factor,
-                 const std::vector<std::pair<int, int>>& dropped_links);
-
-  /// As above, but with a one-off guard factor for this call (callers that
-  /// recalibrate the guard per tick should quantize it so the per-radius
-  /// checker set stays small).
+  /// scaled by `range_factor`, the given links (index pairs into `pts`;
+  /// pairs outside [0, n) are ignored) forced down, and the early-warning
+  /// radius scaled by `guard_factor` in (0, 1]. O(n²), allocation-free
+  /// once the scratch has grown to n.
   Verdict assess(const std::vector<Vec2>& pts, double range_factor,
                  const std::vector<std::pair<int, int>>& dropped_links,
                  double guard_factor);
 
   double comm_range() const { return r_c_; }
-  double guard_factor() const { return guard_factor_; }
 
  private:
-  bool connected_at(const std::vector<Vec2>& pts, double radius,
-                    const std::vector<std::pair<int, int>>& dropped);
-
   double r_c_;
-  double guard_factor_;
-  /// Incremental checkers keyed by radius (fast path only).
-  std::map<double, IncrementalConnectivity> checkers_;
+  // Prim scratch: squared distance to the tree, robots outside it, and
+  // per-step marks of the newest tree robot's dropped partners.
+  std::vector<double> best_;
+  std::vector<std::size_t> rest_;
+  std::vector<std::size_t> blocked_;
 };
 
 }  // namespace anr::net

@@ -1,12 +1,22 @@
 // Execution engine: fault-free fidelity, seeded-campaign determinism, and
 // the recovery-policy contrast the fault subsystem exists to demonstrate.
+//
+// The GoldenEventLog cases pin the engine's behaviour across commits:
+// event-log bytes plus the run's scalar outcome are compared with files
+// under tests/golden/. Regenerate (only when an intentional behaviour
+// change lands) with
+//   ANR_REGEN_GOLDEN=1 ./test_execution_engine
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -16,9 +26,14 @@
 #include "io/event_io.h"
 #include "march/execution_engine.h"
 #include "march/planner.h"
+#include "obs/metrics.h"
 
 namespace anr {
 namespace {
+
+#ifndef ANR_GOLDEN_DIR
+#define ANR_GOLDEN_DIR "golden"
+#endif
 
 struct ExecFixture {
   Scenario sc;
@@ -28,10 +43,11 @@ struct ExecFixture {
   FieldOfInterest m2_world;
 };
 
-// Plans are expensive; build one per scenario for the whole binary.
-const ExecFixture& fixture(int id) {
-  static std::map<int, std::unique_ptr<ExecFixture>> cache;
-  auto it = cache.find(id);
+// Plans are expensive; build one per (scenario, motion model) for the
+// whole binary.
+const ExecFixture& fixture(int id, bool geodesic = false) {
+  static std::map<std::pair<int, bool>, std::unique_ptr<ExecFixture>> cache;
+  auto it = cache.find({id, geodesic});
   if (it == cache.end()) {
     auto fx = std::make_unique<ExecFixture>();
     fx->sc = scenario(id);
@@ -40,15 +56,29 @@ const ExecFixture& fixture(int id) {
                       .positions;
     fx->offset = fx->sc.m1.centroid() + Vec2{12.0 * fx->sc.comm_range, 0.0} -
                  fx->sc.m2_shape.centroid();
+    fx->m2_world = fx->sc.m2_shape.translated(fx->offset);
     PlannerOptions opt;
     opt.mesher.target_grid_points = 350;
     opt.cvt_samples = 4000;
     opt.max_adjust_steps = 5;
+    if (geodesic) {
+      // The GoldenPlanGeodesic terrain: rolling hills, slope cost and one
+      // mud patch between the regions.
+      BBox tb = fx->sc.m1.bbox();
+      tb.expand(fx->m2_world.bbox().lo);
+      tb.expand(fx->m2_world.bbox().hi);
+      const Vec2 mid = lerp(fx->sc.m1.centroid(), fx->m2_world.centroid(), 0.5);
+      opt.trajectory.motion = MotionModel::kTerrainGeodesic;
+      opt.trajectory.terrain.terrain =
+          HeightField::rolling(tb, 10, 30.0, 150.0, /*seed=*/77);
+      opt.trajectory.terrain.slope_weight = 2.0;
+      opt.trajectory.terrain.uphill_penalty = 0.3;
+      opt.trajectory.terrain.mud.push_back({mid, 100.0, 2.5});
+    }
     fx->planner = std::make_unique<MarchPlanner>(fx->sc.m1, fx->sc.m2_shape,
                                                  fx->sc.comm_range, opt);
     fx->plan = fx->planner->plan(deploy, fx->offset);
-    fx->m2_world = fx->sc.m2_shape.translated(fx->offset);
-    it = cache.emplace(id, std::move(fx)).first;
+    it = cache.emplace(std::make_pair(id, geodesic), std::move(fx)).first;
   }
   return *it->second;
 }
@@ -246,6 +276,77 @@ TEST(ExecutionEngine, RejectsSchedulesThatFailValidation) {
   EXPECT_THROW(ExecutionEngine(fx.sc.comm_range)
                    .run(fx.plan, schedule, fx.m2_world),
                ContractViolation);
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return {};
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+// Every input of the connectivity guard moves in this campaign: a crash
+// shrinks the alive set, two link dropouts force pairs down, a range
+// degradation shrinks the effective radius, and a GPS-noise burst changes
+// the executed formation on every tick it covers.
+fault::FaultSchedule guard_campaign(const ExecFixture& fx, std::uint64_t seed) {
+  Rng rng(seed);
+  fault::CampaignOptions co;
+  co.crashes = 1;
+  co.stuck = 0;
+  co.slowdowns = 0;
+  co.noise_bursts = 1;
+  co.link_dropouts = 2;
+  co.range_degradations = 1;
+  return fault::random_campaign(rng, 72, 0.0, fx.plan.total_time, co);
+}
+
+void check_event_log(int id) {
+  const ExecFixture& fx = fixture(id, /*geodesic=*/true);
+  const fault::FaultSchedule schedule = guard_campaign(fx, 2016u + id);
+  std::map<fault::FaultKind, int> kinds;
+  for (const fault::FaultEvent& e : schedule.events) ++kinds[e.kind];
+  ASSERT_EQ(kinds[fault::FaultKind::kCrash], 1);
+  ASSERT_EQ(kinds[fault::FaultKind::kLinkDropout], 2);
+  ASSERT_EQ(kinds[fault::FaultKind::kRangeDegradation], 1);
+  ASSERT_EQ(kinds[fault::FaultKind::kPositionNoise], 1);
+
+  obs::Registry reg;
+  ExecutionOptions opt;
+  opt.registry = &reg;
+  const ExecutionReport rep =
+      ExecutionEngine(fx.sc.comm_range, opt).run(fx.plan, schedule,
+                                                 fx.m2_world);
+  json::Object o;
+  o.emplace("ticks", static_cast<std::size_t>(
+                         reg.counter("anr_exec_ticks_total")->value()));
+  o.emplace("executed_distance", rep.executed_distance);
+  o.emplace("end_time", rep.end_time);
+  o.emplace("pauses", rep.pauses);
+  o.emplace("retries", rep.retries);
+  o.emplace("events", events_to_json(rep.events));
+  const std::string got = json::Value(std::move(o)).dump(2) + "\n";
+
+  const std::string path = std::string(ANR_GOLDEN_DIR) +
+                           "/exec_events_scenario" + std::to_string(id) +
+                           ".json";
+  if (std::getenv("ANR_REGEN_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::binary) << got;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  const std::string golden = slurp(path);
+  ASSERT_FALSE(golden.empty()) << "missing golden file " << path
+                               << " (run with ANR_REGEN_GOLDEN=1)";
+  EXPECT_EQ(got, golden) << "execution diverged from the golden " << path;
+}
+
+TEST(GoldenEventLog, Scenario1GeodesicUnderGuardCampaign) {
+  check_event_log(1);
+}
+
+TEST(GoldenEventLog, Scenario5GeodesicUnderGuardCampaign) {
+  check_event_log(5);
 }
 
 }  // namespace

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "fault/fault_model.h"
 #include "fault/fault_schedule.h"
 #include "net/connectivity.h"
+#include "net/connectivity_monitor.h"
 #include "net/fault_bridge.h"
 #include "net/incremental_connectivity.h"
 #include "net/network.h"
@@ -82,6 +86,171 @@ TEST(IncrementalConnectivity, HandlesResizeAndDegenerate) {
   // Grow the swarm mid-stream: checker must re-anchor, not crash.
   std::vector<Vec2> three = {{0.0, 0.0}, {4.0, 0.0}, {8.0, 0.0}};
   EXPECT_TRUE(inc.check(three));
+}
+
+// Reference verdict for ConnectivityMonitor: the unit-disk adjacency at
+// the given radius with the dropped pairs erased (out-of-range pairs are
+// ignored), then BFS.
+bool reference_connected(const std::vector<Vec2>& pts, double r,
+                         const std::vector<std::pair<int, int>>& dropped) {
+  if (pts.size() <= 1) return true;
+  auto adj = unit_disk_adjacency(pts, r);
+  const int n = static_cast<int>(pts.size());
+  for (const auto& [a, b] : dropped) {
+    if (a < 0 || b < 0 || a >= n || b >= n) continue;
+    auto& na = adj[static_cast<std::size_t>(a)];
+    auto& nb = adj[static_cast<std::size_t>(b)];
+    na.erase(std::remove(na.begin(), na.end(), b), na.end());
+    nb.erase(std::remove(nb.begin(), nb.end(), a), nb.end());
+  }
+  return is_connected(adj);
+}
+
+struct VerdictTally {
+  int connected = 0, split = 0, guard_ok = 0, guard_tripped = 0;
+};
+
+void expect_matches_reference(ConnectivityMonitor& monitor,
+                              const std::vector<Vec2>& pts,
+                              double range_factor,
+                              const std::vector<std::pair<int, int>>& dropped,
+                              double guard_factor, VerdictTally& tally) {
+  const double r_eff = monitor.comm_range() * range_factor;
+  const bool connected = reference_connected(pts, r_eff, dropped);
+  const bool guard_ok =
+      connected && reference_connected(pts, r_eff * guard_factor, dropped);
+  const ConnectivityMonitor::Verdict v =
+      monitor.assess(pts, range_factor, dropped, guard_factor);
+  EXPECT_EQ(v.connected, connected)
+      << "n=" << pts.size() << " range_factor=" << range_factor
+      << " guard_factor=" << guard_factor << " dropped=" << dropped.size();
+  EXPECT_EQ(v.guard_ok, guard_ok)
+      << "n=" << pts.size() << " range_factor=" << range_factor
+      << " guard_factor=" << guard_factor << " dropped=" << dropped.size();
+  ++(v.connected ? tally.connected : tally.split);
+  ++(v.guard_ok ? tally.guard_ok : tally.guard_tripped);
+}
+
+/// Dropped lists that stress the pair handling: duplicates, both
+/// orientations of one pair, self pairs and indices outside [0, n).
+std::vector<std::vector<std::pair<int, int>>> dropped_lists(int n, Rng& rng) {
+  std::vector<std::vector<std::pair<int, int>>> lists{{}};
+  lists.push_back({{-1, 0}, {0, n}, {n + 5, -3}, {0, 0}});
+  if (n < 2) return lists;
+  std::vector<std::pair<int, int>> random_pairs;
+  for (int k = 0; k < 3 * n; ++k) {
+    const int a = rng.uniform_int(0, n - 1);
+    const int b = rng.uniform_int(0, n - 1);
+    random_pairs.emplace_back(a, b);
+    if (k % 3 == 0) random_pairs.emplace_back(b, a);
+    if (k % 5 == 0) random_pairs.emplace_back(a, b);
+  }
+  random_pairs.emplace_back(-1, 1);
+  random_pairs.emplace_back(n, 0);
+  lists.push_back(random_pairs);
+  // Every link of robot 0 down, in both orientations: isolates it
+  // whatever the radius.
+  std::vector<std::pair<int, int>> isolate;
+  for (int b = 1; b < n; ++b) {
+    if (b % 2) {
+      isolate.emplace_back(0, b);
+    } else {
+      isolate.emplace_back(b, 0);
+    }
+  }
+  lists.push_back(isolate);
+  return lists;
+}
+
+TEST(ConnectivityMonitor, BottleneckVerdictMatchesUnitDiskReference) {
+  Rng rng(2016);
+  VerdictTally tally;
+  const std::vector<double> range_factors{0.55, 0.7, 0.9, 1.0};
+  const std::vector<double> guard_factors{0.25, 0.6, 0.85, 0.97, 1.0};
+  for (int n : {0, 1, 2, 72, 300}) {
+    // Sides chosen so the unit-disk threshold of the random cloud lies
+    // inside the swept radius range and both verdicts occur.
+    const double side = n <= 2 ? 10.0 : 10.0 * std::sqrt(n);
+    const auto pts = testutil::random_points(n, 0.0, side, 31 + n);
+    for (double r_c : {8.0, 12.0, 18.0}) {
+      ConnectivityMonitor monitor(r_c);
+      for (const auto& dropped : dropped_lists(n, rng)) {
+        for (double rf : range_factors) {
+          for (double gf : guard_factors) {
+            expect_matches_reference(monitor, pts, rf, dropped, gf, tally);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(tally.connected, 0);
+  EXPECT_GT(tally.split, 0);
+  EXPECT_GT(tally.guard_ok, 0);
+  EXPECT_GT(tally.guard_tripped, 0);
+}
+
+TEST(ConnectivityMonitor, LatticeTiesFollowTheInclusiveRule) {
+  // Lattice spacing exactly equal to the radius: every lattice link sits
+  // on the inclusive bound, so a strict comparison would split the swarm.
+  // A radius shrunk by a few ulps keeps the links through the 1e-12
+  // slack; one shrunk by 1e-6 loses them.
+  VerdictTally tally;
+  Rng rng(5);
+  for (double s : {2.5, 4.0, 10.0}) {
+    std::vector<Vec2> lattice;
+    for (int i = 0; i < 9; ++i) {
+      for (int j = 0; j < 8; ++j) lattice.push_back({i * s, j * s});
+    }
+    const int n = static_cast<int>(lattice.size());
+    for (double r_c : {s, s * (1.0 - 4e-16), s * (1.0 - 1e-6), 2.0 * s}) {
+      ConnectivityMonitor monitor(r_c);
+      // Guard radii that land exactly on the spacing when r_c = 2s.
+      for (double gf : {0.5, 0.75, 1.0}) {
+        for (const auto& dropped : dropped_lists(n, rng)) {
+          expect_matches_reference(monitor, lattice, 1.0, dropped, gf, tally);
+        }
+        // Cut the lattice along one column: a dropped-pair wall.
+        std::vector<std::pair<int, int>> wall;
+        for (int j = 0; j < 8; ++j) wall.emplace_back(3 * 8 + j, 4 * 8 + j);
+        expect_matches_reference(monitor, lattice, 1.0, wall, gf, tally);
+      }
+    }
+  }
+  // Range factor < 1 with the lattice spaced at the degraded radius.
+  {
+    const double rf = 0.7;
+    const double r_c = 10.0;
+    const double spacing = r_c * rf;
+    std::vector<Vec2> shrunk;
+    for (int i = 0; i < 6; ++i) {
+      for (int j = 0; j < 6; ++j) shrunk.push_back({i * spacing, j * spacing});
+    }
+    ConnectivityMonitor monitor(r_c);
+    for (double gf : {0.5, 0.9, 1.0}) {
+      expect_matches_reference(monitor, shrunk, rf, {}, gf, tally);
+    }
+  }
+  // Spacing exactly r_c is connected; 1e-6 below it is not.
+  {
+    std::vector<Vec2> row{{0.0, 0.0}, {4.0, 0.0}, {8.0, 0.0}};
+    EXPECT_TRUE(ConnectivityMonitor(4.0).assess(row, 1.0, {}, 1.0).connected);
+    EXPECT_FALSE(ConnectivityMonitor(4.0 * (1.0 - 1e-6))
+                     .assess(row, 1.0, {}, 1.0)
+                     .connected);
+    EXPECT_FALSE(
+        ConnectivityMonitor(4.0).assess(row, 1.0, {{2, 1}}, 1.0).connected);
+  }
+  EXPECT_GT(tally.connected, 0);
+  EXPECT_GT(tally.split, 0);
+  EXPECT_GT(tally.guard_ok, 0);
+  EXPECT_GT(tally.guard_tripped, 0);
+}
+
+TEST(ConnectivityMonitor, RejectsGuardFactorsOutsideUnitInterval) {
+  ConnectivityMonitor monitor(5.0);
+  const std::vector<Vec2> two{{0.0, 0.0}, {1.0, 0.0}};
+  EXPECT_THROW(monitor.assess(two, 1.0, {}, 0.0), ContractViolation);
+  EXPECT_THROW(monitor.assess(two, 1.0, {}, 1.5), ContractViolation);
 }
 
 TEST(Connectivity, ComponentsAndBfs) {
