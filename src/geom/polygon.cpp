@@ -65,12 +65,21 @@ BBox Polygon::bbox() const {
 bool Polygon::contains(Vec2 p) const {
   if (pts_.size() < 3) return false;
   // Boundary tolerance: a point within 1e-9 of an edge is "inside"; the
-  // crossing-number test alone is unstable exactly on the boundary.
+  // crossing-number test alone is unstable exactly on the boundary. A
+  // point more than kFar outside an edge's bounding box is at least that
+  // far from the edge (and from its rounded closest point), so it cannot
+  // pass the 1e-9 test; skipping the distance there leaves every verdict
+  // unchanged and spares the hypot on almost every edge.
+  constexpr double kFar = 1e-6;
   const std::size_t n = pts_.size();
   bool inside = false;
   for (std::size_t i = 0, j = n - 1; i < n; j = i++) {
     Vec2 a = pts_[j], b = pts_[i];
-    if (point_segment_distance(p, Segment{a, b}) < 1e-9) return true;
+    const bool far = p.x < std::min(a.x, b.x) - kFar ||
+                     p.x > std::max(a.x, b.x) + kFar ||
+                     p.y < std::min(a.y, b.y) - kFar ||
+                     p.y > std::max(a.y, b.y) + kFar;
+    if (!far && point_segment_distance(p, Segment{a, b}) < 1e-9) return true;
     bool straddles = (b.y > p.y) != (a.y > p.y);
     if (straddles) {
       double x_cross = b.x + (p.y - b.y) * (a.x - b.x) / (a.y - b.y);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <string>
 #include <utility>
@@ -10,6 +9,7 @@
 
 #include "common/check.h"
 #include "common/status.h"
+#include "geom/grid_index.h"
 #include "march/local_controller.h"
 #include "net/fault_bridge.h"
 #include "net/unit_disk_graph.h"
@@ -34,10 +34,12 @@ std::string subject_detail(const fault::FaultEvent& e) {
 }
 
 /// Connectivity of the alive sub-network after removing the dropped
-/// links — the observational C sample; controllers never see it.
+/// links — the observational C sample; controllers never see it. `seen`
+/// and `frontier` are caller-owned BFS scratch.
 bool alive_connected(const std::vector<std::vector<int>>& adj,
                      const std::vector<char>& alive,
-                     const std::vector<std::pair<int, int>>& dropped) {
+                     const std::vector<std::pair<int, int>>& dropped,
+                     std::vector<char>& seen, std::vector<int>& frontier) {
   const int n = static_cast<int>(adj.size());
   int first = -1;
   int count = 0;
@@ -56,13 +58,12 @@ bool alive_connected(const std::vector<std::vector<int>>& adj,
     }
     return false;
   };
-  std::vector<char> seen(static_cast<std::size_t>(n), 0);
-  std::deque<int> frontier{first};
+  seen.assign(static_cast<std::size_t>(n), 0);
+  frontier.assign(1, first);
   seen[static_cast<std::size_t>(first)] = 1;
   int reached = 1;
-  while (!frontier.empty()) {
-    const int u = frontier.front();
-    frontier.pop_front();
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const int u = frontier[head];
     for (int v : adj[static_cast<std::size_t>(u)]) {
       if (seen[static_cast<std::size_t>(v)] ||
           !alive[static_cast<std::size_t>(v)] || is_dropped(u, v)) {
@@ -213,7 +214,9 @@ DecentralizedReport DecentralizedEngine::run(
     e.detail = subject_detail(fe);
     ex.events.push_back(std::move(e));
   };
-  for (const fault::FaultEvent* fe : model.activated(-1.0, 0.0)) {
+  std::vector<const fault::FaultEvent*> fault_events;
+  model.activated_into(-1.0, 0.0, fault_events);
+  for (const fault::FaultEvent* fe : fault_events) {
     log_fault(fe->t_start, ExecEventType::kFaultInjected, *fe);
   }
 
@@ -315,17 +318,27 @@ DecentralizedReport DecentralizedEngine::run(
   };
 
   // --- tick loop --------------------------------------------------------
-  std::vector<std::vector<net::Message>> inboxes(n);
+  // Per-round scratch, reused across rounds: the inbox being stepped, the
+  // radio index, the topology rows (swapped with the network's previous
+  // rows each round), the dropped links and the C-sample BFS buffers.
+  std::vector<net::Message> inbox;
+  GridIndex radio_index;
+  std::vector<std::vector<int>> adj(n);
+  std::vector<std::pair<int, int>> dropped;
+  std::vector<char> seen;
+  std::vector<int> frontier;
   std::int64_t tick = 0;
   for (;;) {
     ++tick;
     const double t_prev = t;
     t = static_cast<double>(tick) * dt;
 
-    for (const fault::FaultEvent* fe : model.activated(t_prev, t)) {
+    model.activated_into(t_prev, t, fault_events);
+    for (const fault::FaultEvent* fe : fault_events) {
       log_fault(fe->t_start, ExecEventType::kFaultInjected, *fe);
     }
-    for (const fault::FaultEvent* fe : model.cleared(t_prev, t)) {
+    model.cleared_into(t_prev, t, fault_events);
+    for (const fault::FaultEvent* fe : fault_events) {
       log_fault(fe->t_end(), ExecEventType::kFaultCleared, *fe);
     }
 
@@ -345,19 +358,14 @@ DecentralizedReport DecentralizedEngine::run(
       }
     }
 
-    // Inboxes were filled by the previous round's deliveries. Dead
-    // radios drain to nowhere.
-    for (std::size_t i = 0; i < n; ++i) {
-      inboxes[i] = net.take_inbox(static_cast<int>(i));
-      if (!alive[i]) inboxes[i].clear();
-    }
-
     // Controllers step in id order (the event log's tiebreak), then the
-    // plant applies actuation faults to what each controller wanted.
+    // plant applies actuation faults to what each controller wanted. Each
+    // inbox was filled by the previous round's deliveries (sends during
+    // this loop only queue); dead radios drain to nowhere.
     for (std::size_t i = 0; i < n; ++i) {
+      net.take_inbox(static_cast<int>(i), inbox);
       if (!alive[i]) continue;
-      LocalController::StepResult res =
-          ctrl[i].step(tick, std::move(inboxes[i]), net);
+      LocalController::StepResult res = ctrl[i].step(tick, inbox, net);
       const fault::RobotFaultState st =
           model.robot_state(static_cast<int>(i), t);
       const double max_rate =
@@ -381,25 +389,27 @@ DecentralizedReport DecentralizedEngine::run(
 
     // Radio truth for the next round: unit-disk topology over the noisy
     // positions at the degraded range, dead radios removed. Scripted
-    // link dropouts act at delivery time via the outage predicate.
+    // link dropouts act at delivery time via the outage predicate. The
+    // rows are filled as unit_disk_adjacency fills them (transpose fill in
+    // increasing j leaves every row sorted), skipping dead radios.
     const double r_eff = r_c_ * model.range_factor(t);
-    std::vector<std::vector<int>> adj = net::unit_disk_adjacency(gps, r_eff);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!alive[i]) {
-        adj[i].clear();
-        continue;
-      }
-      adj[i].erase(std::remove_if(adj[i].begin(), adj[i].end(),
-                                  [&alive](int v) {
-                                    return !alive[static_cast<std::size_t>(v)];
-                                  }),
-                   adj[i].end());
+    radio_index.rebuild(gps, r_eff);
+    for (std::vector<int>& row : adj) row.clear();
+    for (std::size_t j = 0; j < n; ++j) {
+      if (!alive[j]) continue;
+      radio_index.visit_radius(gps[j], r_eff, [&](int i) {
+        const std::size_t k = static_cast<std::size_t>(i);
+        if (k != j && alive[k]) adj[k].push_back(static_cast<int>(j));
+      });
     }
-    net.update_topology(adj);
+
+    // Observational C sample (reporting only, never control), taken
+    // before the rows are handed to the network.
+    model.dropped_links_into(t, dropped);
+    const bool connected = alive_connected(adj, alive, dropped, seen, frontier);
+    net.swap_topology(adj);
     net.deliver_round();
 
-    // Observational C sample (reporting only, never control).
-    const bool connected = alive_connected(adj, alive, model.dropped_links(t));
     if (!connected && was_connected) {
       ex.connected_throughout = false;
       if (ex.first_disconnect_time < 0.0) ex.first_disconnect_time = t;

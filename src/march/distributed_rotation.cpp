@@ -23,6 +23,7 @@ DistributedRotationResult distributed_rotation_search(
 
   DistributedRotationResult out;
   double r2 = r_c * r_c;
+  std::vector<net::Message> inbox;
 
   // One probe: local mapping, 1-hop exchange, flood-sum of local counts.
   auto probe = [&](double theta) {
@@ -39,12 +40,13 @@ DistributedRotationResult distributed_rotation_search(
     net.deliver_round();
     std::vector<double> local(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
+      // Drained for both methods (method b does not read it).
+      net.take_inbox(static_cast<int>(i), inbox);
       if (objective == MarchObjective::kMinDistance) {
-        net.take_inbox(static_cast<int>(i));  // drain (unused for method b)
         local[i] = -distance(positions[i], q[i]);
         continue;
       }
-      for (const net::Message& m : net.take_inbox(static_cast<int>(i))) {
+      for (const net::Message& m : inbox) {
         if (m.tag != kMappedPos) continue;
         Vec2 qj{m.reals[0], m.reals[1]};
         if (distance2(q[i], qj) <= r2 + 1e-9) local[i] += 0.5;  // each link

@@ -274,7 +274,8 @@ void LocalController::run_absorb(std::int64_t tick, int suspect, Election& el,
 }
 
 LocalController::StepResult LocalController::step(
-    std::int64_t tick, std::vector<net::Message> inbox, net::Network& net) {
+    std::int64_t tick, const std::vector<net::Message>& inbox,
+    net::Network& net) {
   StepResult out;
 
   // 1. Inbox: any contact ends isolation and refreshes the silence clock.

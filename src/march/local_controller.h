@@ -127,7 +127,7 @@ class LocalController {
   /// suspicion/election state machines, queue outgoing messages on
   /// `net`, and decide the motion intent. Deterministic given the inbox
   /// sequence and config seeds.
-  StepResult step(std::int64_t tick, std::vector<net::Message> inbox,
+  StepResult step(std::int64_t tick, const std::vector<net::Message>& inbox,
                   net::Network& net);
 
   /// Plant feedback after the engine applied actuation faults: the

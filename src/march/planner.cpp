@@ -16,7 +16,7 @@
 #include "mesh/boundary.h"
 #include "mesh/hole_fill.h"
 #include "net/connectivity.h"
-#include "net/incremental_connectivity.h"
+#include "net/grid_connectivity.h"
 #include "net/unit_disk_graph.h"
 
 namespace anr {
@@ -84,6 +84,7 @@ void MarchPlanner::set_observer(obs::Registry* registry) {
   ins_.stage_interpolation = stage("interpolation");
   ins_.stage_adjustment = stage("adjustment");
   ins_.stage_routing = stage("terrain_routing");
+  ins_.stage_guard = stage("transition_guard");
   ins_.plan_seconds =
       registry->histogram("anr_plan_seconds", {}, "end-to-end plan() latency");
   ins_.plans = registry->counter("anr_plans_total", {}, "plans produced");
@@ -124,6 +125,10 @@ void MarchPlanner::set_observer(obs::Registry* registry) {
   ins_.fmm_fb_stuck_descent = fmm_fallback("stuck_descent");
   ins_.fmm_fb_out_of_domain = fmm_fallback("out_of_domain");
   ins_.fmm_fb_connectivity = fmm_fallback("connectivity");
+  ins_.fmm_guard_exhausted = registry->counter(
+      "anr_fmm_guard_exhausted_total", {},
+      "terrain plans whose transition guard straightened every candidate "
+      "route and still sampled a disconnected transition");
 }
 
 const char* plan_mode_name(PlanMode mode) {
@@ -600,11 +605,11 @@ MarchPlan MarchPlanner::plan_impl(const std::vector<Vec2>& positions,
     // routes — skipping robots whose straight chord would cross a keep-out
     // cell — until the sampled march stays connected. Each straightening
     // is a typed degradation, tallied with the other fmm fallbacks.
+    obs::Span guard_span(ins_.spans, "transition_guard", ins_.stage_guard);
     const int kGuardSamples = 257;
     std::vector<Vec2> guard_pos(n);
-    // One checker for every sample of every pass: consecutive samples move
-    // the swarm little, so its spatial index and adjacency stay warm.
-    net::IncrementalConnectivity guard_connectivity(r_c_);
+    // Each sample is one grid-backed BFS over the exact unit-disk rule.
+    net::GridConnectivity guard_connectivity(r_c_);
     auto first_disconnect = [&]() {
       for (int k = 0; k < kGuardSamples; ++k) {
         const double tk =
@@ -612,7 +617,7 @@ MarchPlan MarchPlanner::plan_impl(const std::vector<Vec2>& positions,
         for (std::size_t r = 0; r < n; ++r) {
           guard_pos[r] = plan.trajectories[r].position(tk);
         }
-        if (!guard_connectivity.check(guard_pos)) return k;
+        if (!guard_connectivity.connected(guard_pos)) return k;
       }
       return -1;
     };
@@ -645,7 +650,13 @@ MarchPlan MarchPlanner::plan_impl(const std::vector<Vec2>& positions,
     std::size_t next = 0;
     const std::size_t batch = std::max<std::size_t>(1, n / 16);
     int straightened = 0;
-    while (next < by_deviation.size() && first_disconnect() >= 0) {
+    // Exhausted: every candidate is straight and a sample still splits.
+    bool exhausted = false;
+    while (first_disconnect() >= 0) {
+      if (next == by_deviation.size()) {
+        exhausted = true;
+        break;
+      }
       for (std::size_t b = 0; b < batch && next < by_deviation.size();
            ++b, ++next) {
         const std::size_t r = by_deviation[next].second;
@@ -658,6 +669,8 @@ MarchPlan MarchPlanner::plan_impl(const std::vector<Vec2>& positions,
     plan.fmm_fallbacks += straightened;
     obs::inc(ins_.fmm_fb_connectivity,
              static_cast<std::uint64_t>(straightened));
+    if (exhausted) obs::inc(ins_.fmm_guard_exhausted);
+    guard_span.finish();
   }
 
   // --- 8. Minor local adjustment: connectivity-safe Lloyd -----------------
@@ -676,12 +689,10 @@ MarchPlan MarchPlanner::plan_impl(const std::vector<Vec2>& positions,
   for (const Polygon& h : m2_.holes()) {
     m2_obstacles.push_back(h.translated(m2_offset));
   }
-  // Loop-persistent scratch: one incremental connectivity checker serves
-  // every trial probe (halved retries reuse its spatial index — their
-  // bounded displacement rarely changes any link state, and an unchanged
-  // edge set skips the BFS outright); the CVT scratch keeps the site index
-  // and accumulators alive across Lloyd steps.
-  net::IncrementalConnectivity connectivity(r_c_);
+  // Loop-persistent scratch: one connectivity checker serves every trial
+  // probe; the CVT scratch keeps the site index and accumulators alive
+  // across Lloyd steps.
+  net::GridConnectivity connectivity(r_c_);
   GridCvt::Scratch cvt_scratch;
   std::vector<Vec2> local(n), cents, cand(n), trial(n);
   for (int step = 0; step < opt_.max_adjust_steps; ++step) {
@@ -714,7 +725,7 @@ MarchPlan MarchPlanner::plan_impl(const std::vector<Vec2>& positions,
         }
       }
       if (!blocked_move &&
-          (!opt_.safe_adjustment || connectivity.check(trial))) {
+          (!opt_.safe_adjustment || connectivity.connected(trial))) {
         ok = true;
         break;
       }

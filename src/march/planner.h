@@ -210,6 +210,7 @@ class MarchPlanner {
     obs::Histogram* stage_interpolation = nullptr;
     obs::Histogram* stage_adjustment = nullptr;
     obs::Histogram* stage_routing = nullptr;
+    obs::Histogram* stage_guard = nullptr;
     obs::Histogram* plan_seconds = nullptr;
     obs::Counter* plans = nullptr;
     obs::Counter* rotation_probes = nullptr;
@@ -227,6 +228,7 @@ class MarchPlanner {
     obs::Counter* fmm_fb_stuck_descent = nullptr;
     obs::Counter* fmm_fb_out_of_domain = nullptr;
     obs::Counter* fmm_fb_connectivity = nullptr;
+    obs::Counter* fmm_guard_exhausted = nullptr;
   };
 
   /// The full pipeline with the extraction radius scaled by

@@ -4,7 +4,7 @@
 #include <set>
 
 #include "common/check.h"
-#include "net/connectivity.h"
+#include "net/grid_connectivity.h"
 
 namespace anr {
 
@@ -49,6 +49,7 @@ FailureRecovery recover_from_failure(const std::vector<Trajectory>& planned,
   }
 
   double t = plan_end;
+  net::GridConnectivity connectivity(r_c);
   for (int step = 0; step < max_lloyd_steps; ++step) {
     std::vector<Vec2> cand = grid.centroids(cur);
     double factor = 1.0;
@@ -58,7 +59,7 @@ FailureRecovery recover_from_failure(const std::vector<Trajectory>& planned,
       for (std::size_t i = 0; i < cur.size(); ++i) {
         trial[i] = lerp(cur[i], cand[i], factor);
       }
-      if (net::is_connected(trial, r_c)) {
+      if (connectivity.connected(trial)) {
         ok = true;
         break;
       }

@@ -11,7 +11,7 @@
 // removed yields b², the smallest squared radius at which the robots form
 // one component. Each verdict is then a single comparison against a
 // squared radius with the inclusive 1e-12 slack of GridIndex::visit_radius
-// and IncrementalConnectivity, so the booleans equal net::is_connected on
+// and GridConnectivity, so the booleans equal net::is_connected on
 // the unit-disk graph with the dropped edges erased, at any radius.
 #pragma once
 

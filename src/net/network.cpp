@@ -69,24 +69,20 @@ void Network::set_reliability(ReliabilityOptions opt) {
   reliability_ = opt;
 }
 
-void Network::update_topology(std::vector<std::vector<NodeId>> adjacency) {
+void Network::swap_topology(std::vector<std::vector<NodeId>>& adjacency) {
   ANR_CHECK_MSG(adjacency.size() == adj_.size(),
                 "topology update must keep the node count");
+  const NodeId n = static_cast<NodeId>(adjacency.size());
   for (std::size_t v = 0; v < adjacency.size(); ++v) {
-    auto& nb = adjacency[v];
-    std::sort(nb.begin(), nb.end());
-    nb.erase(std::unique(nb.begin(), nb.end()), nb.end());
-    for (NodeId u : nb) {
-      ANR_CHECK_MSG(u >= 0 && static_cast<std::size_t>(u) < adjacency.size(),
-                    "adjacency references missing node");
+    NodeId prev = -1;
+    for (NodeId u : adjacency[v]) {
+      ANR_CHECK_MSG(u > prev && u < n, "adjacency rows must be sorted, unique "
+                                       "and reference existing nodes");
       ANR_CHECK_MSG(u != static_cast<NodeId>(v), "self-loop in adjacency");
+      prev = u;
     }
   }
-  adj_ = std::move(adjacency);
-}
-
-void Network::update_topology(const std::vector<Vec2>& positions, double r) {
-  update_topology(unit_disk_adjacency(positions, r));
+  adj_.swap(adjacency);
 }
 
 std::uint64_t Network::next_delay_draw() {
@@ -177,23 +173,39 @@ bool Network::deliver_round() {
   if (queue_.empty()) return false;
   // Deterministic delivery order: by receiver, then sender, preserving
   // send order within a pair. Only messages whose delay elapsed arrive.
-  // The queue is swapped out first because ack transmissions during the
-  // sweep append fresh entries.
-  std::vector<Pending> current;
-  current.swap(queue_);
-  std::stable_sort(current.begin(), current.end(),
-                   [](const Pending& a, const Pending& b) {
-                     if (a.to != b.to) return a.to < b.to;
-                     return a.msg.src < b.msg.src;
-                   });
-  bool delivered = false;
-  std::vector<Pending> later;
-  later.reserve(current.size());
-  for (Pending& p : current) {
-    if (p.due_round > rounds_) {
-      later.push_back(std::move(p));
-      continue;
+  // The order is a stable two-pass counting sort of indices — by sender,
+  // then by receiver — which is exactly the stable sort by (receiver,
+  // sender) without moving any message.
+  current_.swap(queue_);
+  const std::size_t m = current_.size();
+  const std::size_t nodes = adj_.size();
+  auto counting_pass = [&](auto key, const std::vector<std::uint32_t>* in,
+                           std::vector<std::uint32_t>& out) {
+    bucket_.assign(nodes + 1, 0);
+    for (const Pending& p : current_) ++bucket_[key(p) + 1];
+    for (std::size_t v = 1; v <= nodes; ++v) bucket_[v] += bucket_[v - 1];
+    out.resize(m);
+    for (std::size_t k = 0; k < m; ++k) {
+      const std::uint32_t i =
+          in != nullptr ? (*in)[k] : static_cast<std::uint32_t>(k);
+      out[bucket_[key(current_[i])]++] = i;
     }
+  };
+  counting_pass(
+      [](const Pending& p) { return static_cast<std::size_t>(p.msg.src); },
+      nullptr, by_sender_);
+  counting_pass([](const Pending& p) { return static_cast<std::size_t>(p.to); },
+                &by_sender_, order_);
+
+  // Not-yet-due messages go back on the queue first, in delivery order;
+  // the acks generated below append after them.
+  for (std::uint32_t i : order_) {
+    if (current_[i].due_round > rounds_) queue_.push_back(std::move(current_[i]));
+  }
+  bool delivered = false;
+  for (std::uint32_t i : order_) {
+    Pending& p = current_[i];
+    if (p.due_round > rounds_) continue;
     // The link must still be up when the delay elapses: topology updates
     // and scripted outages both kill traffic in flight.
     if (!linked(p.msg.src, p.to) ||
@@ -202,9 +214,9 @@ bool Network::deliver_round() {
       continue;
     }
     if (p.kind == PendingKind::kAck) {
-      for (std::size_t i = 0; i < unacked_.size(); ++i) {
-        if (unacked_[i].seq == p.seq) {
-          unacked_.erase(unacked_.begin() + static_cast<std::ptrdiff_t>(i));
+      for (std::size_t u = 0; u < unacked_.size(); ++u) {
+        if (unacked_[u].seq == p.seq) {
+          unacked_.erase(unacked_.begin() + static_cast<std::ptrdiff_t>(u));
           break;
         }
       }
@@ -230,16 +242,16 @@ bool Network::deliver_round() {
     ++messages_delivered_;
     delivered = true;
   }
-  // Not-yet-due messages keep their relative (send) order ahead of the
-  // acks generated this round.
-  later.insert(later.end(), std::make_move_iterator(queue_.begin()),
-               std::make_move_iterator(queue_.end()));
-  queue_ = std::move(later);
+  current_.clear();
   return delivered;
 }
 
-std::vector<Message> Network::take_inbox(NodeId v) {
-  return std::exchange(inbox_[static_cast<std::size_t>(v)], {});
+void Network::take_inbox(NodeId v, std::vector<Message>& out) {
+  std::vector<Message>& box = inbox_[static_cast<std::size_t>(v)];
+  out.clear();
+  out.insert(out.end(), std::make_move_iterator(box.begin()),
+             std::make_move_iterator(box.end()));
+  box.clear();
 }
 
 bool Network::quiescent() const {

@@ -20,7 +20,7 @@
 //     for the FaultSchedule adapter) forces links down at delivery time —
 //     messages in flight over a downed link are lost, which is how
 //     scripted partition/heal windows drop real traffic;
-//   - update_topology: the adjacency can be rebuilt mid-run (robots move);
+//   - swap_topology: the adjacency can be rebuilt mid-run (robots move);
 //     a message whose link no longer exists when its delay elapses is
 //     lost.
 //
@@ -112,9 +112,12 @@ class Network {
 
   /// Replaces the topology mid-run (robots moved). Queued messages are
   /// kept, but delivery re-checks the link when the delay elapses; a
-  /// message whose link vanished is lost.
-  void update_topology(std::vector<std::vector<NodeId>> adjacency);
-  void update_topology(const std::vector<Vec2>& positions, double r);
+  /// message whose link vanished is lost. The rows must be sorted and
+  /// duplicate-free (as unit_disk_adjacency builds them). They are
+  /// swapped in, not copied: on return `adjacency` holds the previous
+  /// rows, so a caller rebuilding the topology every round reuses their
+  /// capacity.
+  void swap_topology(std::vector<std::vector<NodeId>>& adjacency);
 
   int size() const { return static_cast<int>(adj_.size()); }
   const std::vector<NodeId>& neighbors(NodeId v) const;
@@ -140,12 +143,15 @@ class Network {
   /// Returns true when at least one message was delivered.
   bool deliver_round();
 
-  /// Drains and returns node v's inbox. Order is pinned: messages
-  /// delivered in the same round arrive sorted by sender id, ties broken
-  /// by send order; successive rounds append. The order is a pure
-  /// function of the send sequence and the delay/loss seeds, so protocol
-  /// event logs replay byte-identically.
-  std::vector<Message> take_inbox(NodeId v);
+  /// Drains node v's inbox into `out` (its previous contents are
+  /// discarded). Order is pinned: messages delivered in the same round
+  /// arrive sorted by sender id, ties broken by send order; successive
+  /// rounds append. The order is a pure function of the send sequence
+  /// and the delay/loss seeds, so protocol event logs replay
+  /// byte-identically. The messages are moved out and both vectors keep
+  /// their capacity, so a caller that drains every inbox into one reused
+  /// vector allocates nothing at steady state.
+  void take_inbox(NodeId v, std::vector<Message>& out);
 
   /// True when no message is queued, sitting undelivered in an inbox, or
   /// awaiting an ack (pending retransmission).
@@ -197,6 +203,11 @@ class Network {
   std::vector<std::vector<NodeId>> adj_;
   std::vector<std::vector<Message>> inbox_;
   std::vector<Pending> queue_;
+  // deliver_round scratch, kept across rounds: the swapped-out queue, the
+  // delivery permutation and its counting-sort buckets.
+  std::vector<Pending> current_;
+  std::vector<std::uint32_t> order_, by_sender_;
+  std::vector<std::size_t> bucket_;
   std::vector<Unacked> unacked_;
   /// Per receiver: sequence numbers already delivered (duplicate filter).
   std::vector<std::unordered_set<std::uint64_t>> seen_;

@@ -72,11 +72,13 @@ BoundaryWalkResult run_boundary_walk(const TriangleMesh& mesh, int max_delay,
       (16 * static_cast<std::size_t>(n) + 64) *
       static_cast<std::size_t>(max_delay);
   std::size_t round = 0;
+  std::vector<Message> inbox;
   while (!net.quiescent()) {
     ANR_CHECK_MSG(++round < kMaxRounds, "boundary walk did not quiesce");
     net.deliver_round();
     for (int v = 0; v < n; ++v) {
-      for (Message& m : net.take_inbox(v)) {
+      net.take_inbox(v, inbox);
+      for (Message& m : inbox) {
         NodeState& s = st[static_cast<std::size_t>(v)];
         if (m.tag == kToken) {
           int origin = m.ints[0];

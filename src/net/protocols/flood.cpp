@@ -34,11 +34,13 @@ FloodSumResult run_flood_sum(Network& net, const std::vector<double>& values) {
   // armed per-message delays on `net`).
   const std::size_t kMaxRounds = 64 * static_cast<std::size_t>(n) + 512;
   std::size_t round = 0;
+  std::vector<Message> inbox;
   while (!net.quiescent()) {
     ANR_CHECK_MSG(++round < kMaxRounds, "flood did not quiesce");
     net.deliver_round();
     for (int v = 0; v < n; ++v) {
-      for (Message& m : net.take_inbox(v)) {
+      net.take_inbox(v, inbox);
+      for (Message& m : inbox) {
         if (m.tag != kValue) continue;
         int origin = m.ints[0];
         double& slot =

@@ -87,11 +87,13 @@ GossipResult run_gossip_mean(Network& net, const std::vector<double>& values,
     }
     return true;
   };
+  std::vector<Message> inbox;
   while (!all_done() && spent < max_net_rounds) {
     net.deliver_round();
     ++spent;
     for (int v = 0; v < n; ++v) {
-      for (const Message& m : net.take_inbox(v)) {
+      net.take_inbox(v, inbox);
+      for (const Message& m : inbox) {
         if (m.tag != kEstimate) continue;
         buf[static_cast<std::size_t>(v)][m.ints[1]][m.src] = {m.ints[0],
                                                               m.reals[0]};

@@ -40,11 +40,12 @@ RelaxResult run_distributed_relax(const TriangleMesh& mesh,
   };
 
   broadcast_positions();
+  std::vector<Message> inbox;
   for (std::size_t round = 0; round < max_rounds; ++round) {
     net.deliver_round();
     double max_move = 0.0;
     for (int v = 0; v < n; ++v) {
-      auto inbox = net.take_inbox(v);
+      net.take_inbox(v, inbox);
       if (fixed[static_cast<std::size_t>(v)] || inbox.empty()) continue;
       Vec2 avg{};
       int cnt = 0;

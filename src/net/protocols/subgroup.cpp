@@ -77,11 +77,13 @@ SubgroupResult run_subgroup_detection(
     }
   }
   std::size_t round = 0;
+  std::vector<Message> inbox;
   while (!net.quiescent()) {
     ANR_CHECK_MSG(++round < kMaxRounds, "subgroup phase A did not quiesce");
     net.deliver_round();
     for (int v = 0; v < n; ++v) {
-      for (Message& m : net.take_inbox(v)) {
+      net.take_inbox(v, inbox);
+      for (Message& m : inbox) {
         if (m.tag != kReach) continue;
         int hops = m.ints[0];
         int& cur = out.boundary_hops[static_cast<std::size_t>(v)];
@@ -111,7 +113,8 @@ SubgroupResult run_subgroup_detection(
     ANR_CHECK_MSG(++round < kMaxRounds, "subgroup status did not quiesce");
     net.deliver_round();
     for (int v = 0; v < n; ++v) {
-      for (Message& m : net.take_inbox(v)) {
+      net.take_inbox(v, inbox);
+      for (Message& m : inbox) {
         if (m.tag != kStatus) continue;
         const auto& nb = net.neighbors(v);
         auto it = std::lower_bound(nb.begin(), nb.end(), m.src);
@@ -150,7 +153,8 @@ SubgroupResult run_subgroup_detection(
     ANR_CHECK_MSG(++round < kMaxRounds, "subgroup phase B did not quiesce");
     net.deliver_round();
     for (int v = 0; v < n; ++v) {
-      for (Message& m : net.take_inbox(v)) {
+      net.take_inbox(v, inbox);
+      for (Message& m : inbox) {
         if (m.tag != kElect) continue;
         if (out.reached[static_cast<std::size_t>(v)]) continue;
         Key k{m.ints[0], m.ints[1], m.ints[2]};

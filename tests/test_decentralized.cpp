@@ -6,14 +6,24 @@
 // coordinator election, and peer-absorb recovery negotiated entirely by
 // message. No controller ever reads a global oracle; these tests pin
 // both the equivalence and the degradation story byte-for-byte.
+//
+// The GoldenDexEventLog cases pin a lossy, faulted run across commits:
+// event-log bytes, message tallies and final positions are compared with
+// files under tests/golden/. Regenerate (only when an intentional
+// behaviour change lands) with
+//   ANR_REGEN_GOLDEN=1 ./test_decentralized
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "coverage/lloyd.h"
@@ -27,6 +37,10 @@
 namespace anr {
 namespace {
 
+#ifndef ANR_GOLDEN_DIR
+#define ANR_GOLDEN_DIR "golden"
+#endif
+
 struct DexFixture {
   Scenario sc;
   Vec2 offset;
@@ -35,11 +49,12 @@ struct DexFixture {
   FieldOfInterest m2_world;
 };
 
-// Plans are expensive; build one per scenario for the whole binary. Same
-// golden-set settings as test_parallel_determinism / test_execution_engine.
-const DexFixture& fixture(int id) {
-  static std::map<int, std::unique_ptr<DexFixture>> cache;
-  auto it = cache.find(id);
+// Plans are expensive; build one per (scenario, motion model) for the
+// whole binary. Same golden-set settings as test_parallel_determinism /
+// test_execution_engine.
+const DexFixture& fixture(int id, bool geodesic = false) {
+  static std::map<std::pair<int, bool>, std::unique_ptr<DexFixture>> cache;
+  auto it = cache.find({id, geodesic});
   if (it == cache.end()) {
     auto fx = std::make_unique<DexFixture>();
     fx->sc = scenario(id);
@@ -48,15 +63,29 @@ const DexFixture& fixture(int id) {
                       .positions;
     fx->offset = fx->sc.m1.centroid() + Vec2{12.0 * fx->sc.comm_range, 0.0} -
                  fx->sc.m2_shape.centroid();
+    fx->m2_world = fx->sc.m2_shape.translated(fx->offset);
     PlannerOptions opt;
     opt.mesher.target_grid_points = 350;
     opt.cvt_samples = 4000;
     opt.max_adjust_steps = 5;
+    if (geodesic) {
+      // The GoldenPlanGeodesic terrain: rolling hills, slope cost and one
+      // mud patch between the regions.
+      BBox tb = fx->sc.m1.bbox();
+      tb.expand(fx->m2_world.bbox().lo);
+      tb.expand(fx->m2_world.bbox().hi);
+      const Vec2 mid = lerp(fx->sc.m1.centroid(), fx->m2_world.centroid(), 0.5);
+      opt.trajectory.motion = MotionModel::kTerrainGeodesic;
+      opt.trajectory.terrain.terrain =
+          HeightField::rolling(tb, 10, 30.0, 150.0, /*seed=*/77);
+      opt.trajectory.terrain.slope_weight = 2.0;
+      opt.trajectory.terrain.uphill_penalty = 0.3;
+      opt.trajectory.terrain.mud.push_back({mid, 100.0, 2.5});
+    }
     fx->planner = std::make_unique<MarchPlanner>(fx->sc.m1, fx->sc.m2_shape,
                                                  fx->sc.comm_range, opt);
     fx->plan = fx->planner->plan(deploy, fx->offset);
-    fx->m2_world = fx->sc.m2_shape.translated(fx->offset);
-    it = cache.emplace(id, std::move(fx)).first;
+    it = cache.emplace(std::make_pair(id, geodesic), std::move(fx)).first;
   }
   return *it->second;
 }
@@ -332,6 +361,82 @@ TEST(Decentralized, RecoveryDisabledStillDetects) {
   EXPECT_EQ(rep.elections, 0);
   EXPECT_EQ(rep.absorbs, 0);
   EXPECT_FALSE(has_event(rep.exec, ExecEventType::kCoordinatorElected));
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return {};
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+// A lossy, faulted decentralized run over a geodesic plan: 5% message
+// loss and two-round delays keep the ack/retransmit layer busy, three
+// seeded link dropouts swap the topology under traffic in flight, and one
+// crash drives suspicion, quorum confirm, election and the peer absorb
+// (recover_from_failure over M2). Every message the network delivers
+// shapes the log, so the golden pins the delivery order as well.
+void check_dex_event_log(int id) {
+  const DexFixture& fx = fixture(id, /*geodesic=*/true);
+  Rng rng(3u + static_cast<std::uint64_t>(id));
+  fault::CampaignOptions co;
+  co.crashes = 1;
+  co.stuck = 0;
+  co.slowdowns = 0;
+  co.noise_bursts = 0;
+  co.link_dropouts = 3;
+  const fault::FaultSchedule schedule =
+      fault::random_campaign(rng, 72, 0.0, fx.plan.total_time, co);
+
+  DecentralizedOptions opt;
+  opt.max_delay = 2;
+  opt.loss_rate = 0.05;
+  opt.loss_seed = 31u * static_cast<std::uint64_t>(id) + 7u;
+  opt.delay_seed = 17u * static_cast<std::uint64_t>(id) + 3u;
+  const DecentralizedReport rep =
+      DecentralizedEngine(fx.sc.comm_range, opt).run(fx.plan, schedule,
+                                                     fx.m2_world);
+  ASSERT_EQ(rep.detections.size(), 1u);
+  ASSERT_EQ(rep.absorbs, 1) << "the campaign must exercise the peer absorb";
+
+  json::Array finals;
+  for (Vec2 p : rep.exec.final_positions) {
+    json::Array xy;
+    xy.emplace_back(p.x);
+    xy.emplace_back(p.y);
+    finals.emplace_back(std::move(xy));
+  }
+  json::Object o;
+  o.emplace("messages_sent", rep.messages_sent);
+  o.emplace("messages_delivered", rep.messages_delivered);
+  o.emplace("retransmissions", rep.retransmissions);
+  o.emplace("rounds", rep.rounds);
+  o.emplace("absorbs", rep.absorbs);
+  o.emplace("final_positions", std::move(finals));
+  o.emplace("events", events_to_json(rep.exec.events));
+  const std::string got = json::Value(std::move(o)).dump(2) + "\n";
+
+  const std::string path = std::string(ANR_GOLDEN_DIR) +
+                           "/dex_events_scenario" + std::to_string(id) +
+                           ".json";
+  if (std::getenv("ANR_REGEN_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::binary) << got;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  const std::string golden = slurp(path);
+  ASSERT_FALSE(golden.empty()) << "missing golden file " << path
+                               << " (run with ANR_REGEN_GOLDEN=1)";
+  EXPECT_EQ(got, golden) << "decentralized run diverged from the golden "
+                         << path;
+}
+
+TEST(GoldenDexEventLog, Scenario1GeodesicUnderLossyCampaign) {
+  check_dex_event_log(1);
+}
+
+TEST(GoldenDexEventLog, Scenario5GeodesicUnderLossyCampaign) {
+  check_dex_event_log(5);
 }
 
 }  // namespace

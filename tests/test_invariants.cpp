@@ -29,6 +29,9 @@
 #include "io/plan_io.h"
 #include "march/planner.h"
 #include "march/transition_sim.h"
+#include "net/connectivity.h"
+#include "net/grid_connectivity.h"
+#include "obs/metrics.h"
 #include "terrain/height_field.h"
 
 namespace anr {
@@ -194,38 +197,62 @@ TEST(TerrainInvariants, UniformFieldGeodesicByteIdenticalToStraight) {
   }
 }
 
-TEST(TerrainInvariants, SlopeMudAndKeepOutPreserveMarchInvariants) {
-  Scenario sc = scenario(1);
-  const int robots = 72;
-  std::vector<Vec2> deploy =
-      optimal_coverage_positions(sc.m1, robots, /*seed=*/7, uniform_density())
-          .positions;
-  Vec2 offset = sc.m1.centroid() + Vec2{12.0 * sc.comm_range, 0.0} -
-                sc.m2_shape.centroid();
-  FieldOfInterest m2_world = sc.m2_shape.translated(offset);
+// The slope + mud + keep-out terrain of the sweep: rolling hills with
+// slope cost and an asymmetric uphill penalty, one mud patch north of the
+// corridor, and a keep-out block wholly inside the empty corridor (it
+// must not overlap M1 or M2: a robot deployed inside keep-out has no
+// clean route out). Mid-band robots detour.
+struct KeepOutCase {
+  Scenario sc;
+  int robots = 72;
+  std::vector<Vec2> deploy;
+  Vec2 offset;
+  BBox terrain_box;
+  PlannerOptions opt;
+  Vec2 ko_lo, ko_hi;
+};
 
-  BBox terrain_box = sc.m1.bbox();
-  terrain_box.expand(m2_world.bbox().lo);
-  terrain_box.expand(m2_world.bbox().hi);
+KeepOutCase keep_out_case() {
+  KeepOutCase c;
+  c.sc = scenario(1);
+  const Scenario& sc = c.sc;
+  c.deploy = optimal_coverage_positions(sc.m1, c.robots, /*seed=*/7,
+                                        uniform_density())
+                 .positions;
+  c.offset = sc.m1.centroid() + Vec2{12.0 * sc.comm_range, 0.0} -
+             sc.m2_shape.centroid();
+  FieldOfInterest m2_world = sc.m2_shape.translated(c.offset);
 
-  // Rolling hills with slope cost and an asymmetric uphill penalty, one
-  // mud patch north of the corridor, and a keep-out block wholly inside
-  // the empty corridor (it must not overlap M1 or M2: a robot deployed
-  // inside keep-out has no clean route out). Mid-band robots detour.
+  c.terrain_box = sc.m1.bbox();
+  c.terrain_box.expand(m2_world.bbox().lo);
+  c.terrain_box.expand(m2_world.bbox().hi);
+
   const Vec2 mid = lerp(sc.m1.centroid(), m2_world.centroid(), 0.5);
-  PlannerOptions opt = sweep_options(robots);
-  opt.trajectory.motion = MotionModel::kTerrainGeodesic;
-  opt.trajectory.terrain.terrain =
-      HeightField::rolling(terrain_box, 10, 35.0, 160.0, /*seed=*/99);
-  opt.trajectory.terrain.slope_weight = 2.5;
-  opt.trajectory.terrain.uphill_penalty = 0.4;
-  opt.trajectory.terrain.mud.push_back(
+  c.opt = sweep_options(c.robots);
+  c.opt.trajectory.motion = MotionModel::kTerrainGeodesic;
+  c.opt.trajectory.terrain.terrain =
+      HeightField::rolling(c.terrain_box, 10, 35.0, 160.0, /*seed=*/99);
+  c.opt.trajectory.terrain.slope_weight = 2.5;
+  c.opt.trajectory.terrain.uphill_penalty = 0.4;
+  c.opt.trajectory.terrain.mud.push_back(
       {{mid.x, mid.y + 2.0 * sc.comm_range}, 90.0, 3.0});
-  const Vec2 ko_lo{mid.x - sc.comm_range, mid.y - 0.75 * sc.comm_range};
-  const Vec2 ko_hi{mid.x + sc.comm_range, mid.y + 0.75 * sc.comm_range};
-  opt.trajectory.terrain.keep_out.push_back(make_rect(ko_lo, ko_hi));
+  c.ko_lo = {mid.x - sc.comm_range, mid.y - 0.75 * sc.comm_range};
+  c.ko_hi = {mid.x + sc.comm_range, mid.y + 0.75 * sc.comm_range};
+  c.opt.trajectory.terrain.keep_out.push_back(make_rect(c.ko_lo, c.ko_hi));
+  return c;
+}
 
-  MarchPlan plan = plan_scenario(sc, deploy, offset, opt);
+TEST(TerrainInvariants, SlopeMudAndKeepOutPreserveMarchInvariants) {
+  const KeepOutCase c = keep_out_case();
+  const Scenario& sc = c.sc;
+  const int robots = c.robots;
+  const std::vector<Vec2>& deploy = c.deploy;
+  const PlannerOptions& opt = c.opt;
+  const BBox& terrain_box = c.terrain_box;
+  const Vec2 ko_lo = c.ko_lo;
+  const Vec2 ko_hi = c.ko_hi;
+
+  MarchPlan plan = plan_scenario(sc, deploy, c.offset, opt);
   ASSERT_EQ(plan.trajectories.size(), deploy.size());
   // At least one solve pass ran (repair targets can trigger a regrow +
   // re-solve), and the connectivity guard straightens some routes — the
@@ -278,6 +305,134 @@ TEST(TerrainInvariants, SlopeMudAndKeepOutPreserveMarchInvariants) {
           << "trajectory sample inside keep-out at t=" << tt;
     }
   }
+}
+
+// Smallest radius at which `pts` form one component, from a reference
+// Prim over hypot distances (the bottleneck edge length).
+double bottleneck_radius(const std::vector<Vec2>& pts) {
+  const std::size_t n = pts.size();
+  std::vector<double> best(n, 1e300);
+  std::vector<char> in(n, 0);
+  double b = 0.0;
+  std::size_t u = 0;
+  in[0] = 1;
+  for (std::size_t step = 1; step < n; ++step) {
+    std::size_t pick = n;
+    for (std::size_t w = 0; w < n; ++w) {
+      if (in[w]) continue;
+      best[w] = std::min(best[w], distance(pts[u], pts[w]));
+      if (pick == n || best[w] < best[pick]) pick = w;
+    }
+    b = std::max(b, best[pick]);
+    in[pick] = 1;
+    u = pick;
+  }
+  return b;
+}
+
+// The transition guard's kernel (net::GridConnectivity) against the batch
+// checker on every instant the guard samples: for the terrain plans of
+// this sweep, each of the 257 guard samples over the transition (and the
+// adjustment tail) gets the same verdict as net::is_connected — at r_c,
+// and at radii exactly on and around the sample's bottleneck edge, where
+// the inclusive 1e-12 slack decides.
+TEST(TerrainInvariants, GuardKernelMatchesBatchChecker) {
+  std::vector<std::pair<MarchPlan, double>> plans;
+  for (int id : {1, 5, 6}) {
+    Scenario sc = scenario(id);
+    std::vector<Vec2> deploy =
+        optimal_coverage_positions(sc.m1, 72, /*seed=*/1, uniform_density())
+            .positions;
+    Vec2 offset = sc.m1.centroid() + Vec2{12.0 * sc.comm_range, 0.0} -
+                  sc.m2_shape.centroid();
+    PlannerOptions geodesic = sweep_options(72);
+    geodesic.trajectory.motion = MotionModel::kTerrainGeodesic;
+    plans.emplace_back(plan_scenario(sc, deploy, offset, geodesic),
+                       sc.comm_range);
+  }
+  const KeepOutCase c = keep_out_case();
+  plans.emplace_back(plan_scenario(c.sc, c.deploy, c.offset, c.opt),
+                     c.sc.comm_range);
+
+  int checks = 0, splits = 0;
+  for (const auto& [plan, r_c] : plans) {
+    net::GridConnectivity guard(r_c);
+    std::vector<Vec2> pts(plan.trajectories.size());
+    const int kSamples = 257;
+    for (double horizon : {plan.transition_end, plan.total_time}) {
+      for (int k = 0; k < kSamples; ++k) {
+        const double t = horizon * k / static_cast<double>(kSamples - 1);
+        for (std::size_t r = 0; r < pts.size(); ++r) {
+          pts[r] = plan.trajectories[r].position(t);
+        }
+        const bool want = net::is_connected(pts, r_c);
+        ASSERT_EQ(guard.connected(pts), want) << "t=" << t;
+        ++checks;
+        const double b = bottleneck_radius(pts);
+        for (double r : {b, std::nextafter(b, 0.0), std::nextafter(b, 1e300),
+                         std::sqrt(b * b - 1e-12), std::sqrt(b * b - 2e-12),
+                         std::nextafter(std::sqrt(b * b - 1e-12), 0.0)}) {
+          net::GridConnectivity tie(r);
+          const bool tie_want = net::is_connected(pts, r);
+          ASSERT_EQ(tie.connected(pts), tie_want)
+              << "t=" << t << " r=" << r << " bottleneck=" << b;
+          splits += tie_want ? 0 : 1;
+          ++checks;
+        }
+      }
+    }
+  }
+  // The tie radii straddle the inclusive slack: some samples split.
+  EXPECT_GT(splits, 0);
+  EXPECT_GT(checks, 4 * 2 * 257);
+}
+
+// Guard exhaustion is counted, not silent: a terrain plan whose guard
+// straightened every candidate and still samples a split transition
+// bumps anr_fmm_guard_exhausted_total, and the guard runs in its own
+// transition_guard stage. The loop only stops at a connected sampling or
+// with every candidate straight, so the counter must equal "some guard
+// sample of the finished plan is split". Attaching the registry leaves
+// the plan bytes unchanged.
+TEST(TerrainInvariants, GuardExhaustionIsCountedAndStaged) {
+  KeepOutCase c = keep_out_case();
+  MarchPlanner planner(c.sc.m1, c.sc.m2_shape, c.sc.comm_range, c.opt);
+  MarchPlanner observed(c.sc.m1, c.sc.m2_shape, c.sc.comm_range, c.opt);
+  obs::Registry reg;
+  observed.set_observer(&reg);
+  obs::Counter* exhausted = reg.counter("anr_fmm_guard_exhausted_total");
+  obs::Histogram* stage =
+      reg.histogram("anr_plan_stage_seconds", {{"stage", "transition_guard"}});
+  int plans = 0, exhausted_plans = 0;
+  for (int seed = 1; seed <= 4; ++seed) {
+    const std::vector<Vec2> deploy =
+        optimal_coverage_positions(c.sc.m1, c.robots, seed, uniform_density())
+            .positions;
+    const MarchPlan plan = observed.plan(deploy, c.offset);
+    EXPECT_EQ(plan_bytes(plan, "observed"),
+              plan_bytes(planner.plan(deploy, c.offset), "plain"))
+        << "seed " << seed;
+    ++plans;
+
+    bool split = false;
+    std::vector<Vec2> pts(plan.trajectories.size());
+    for (int k = 0; k < 257 && !split; ++k) {
+      const double t = plan.transition_end * k / 256.0;
+      for (std::size_t r = 0; r < pts.size(); ++r) {
+        pts[r] = plan.trajectories[r].position(t);
+      }
+      split = !net::is_connected(pts, c.sc.comm_range);
+    }
+    exhausted_plans += split ? 1 : 0;
+    EXPECT_EQ(exhausted->value(), static_cast<std::uint64_t>(exhausted_plans))
+        << "seed " << seed;
+    EXPECT_EQ(stage->count(), static_cast<std::uint64_t>(plans));
+  }
+  EXPECT_GT(stage->sum(), 0.0);
+  // These deployments include both outcomes, so the counter is
+  // exercised either way.
+  EXPECT_GT(exhausted_plans, 0);
+  EXPECT_LT(exhausted_plans, plans);
 }
 
 }  // namespace

@@ -4,16 +4,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/hash.h"
+#include "common/rng.h"
 #include "fault/fault_model.h"
 #include "fault/fault_schedule.h"
 #include "net/connectivity.h"
 #include "net/connectivity_monitor.h"
 #include "net/fault_bridge.h"
-#include "net/incremental_connectivity.h"
+#include "net/grid_connectivity.h"
 #include "net/network.h"
 #include "net/unit_disk_graph.h"
 #include "test_util.h"
@@ -56,36 +60,36 @@ TEST(UnitDiskGraph, AdjacencyRowsAreSorted) {
   }
 }
 
-TEST(IncrementalConnectivity, MatchesBatchCheckerUnderDrift) {
+TEST(GridConnectivity, MatchesBatchCheckerUnderDrift) {
   // Random walks of the swarm, including radius regimes where the verdict
-  // flips: the incremental checker must agree with net::is_connected at
-  // every step.
+  // flips: the reused checker must agree with net::is_connected at every
+  // step.
   Rng rng(77);
   for (double r : {8.0, 14.0, 25.0}) {
     auto pos = testutil::random_points(60, 0.0, 100.0, 13);
-    net::IncrementalConnectivity inc(r);
+    net::GridConnectivity inc(r);
     for (int step = 0; step < 40; ++step) {
       for (Vec2& p : pos) {
         p.x += rng.uniform(-1.5, 1.5);
         p.y += rng.uniform(-1.5, 1.5);
       }
-      EXPECT_EQ(inc.check(pos), net::is_connected(pos, r))
+      EXPECT_EQ(inc.connected(pos), net::is_connected(pos, r))
           << "r=" << r << " step=" << step;
     }
   }
 }
 
-TEST(IncrementalConnectivity, HandlesResizeAndDegenerate) {
-  net::IncrementalConnectivity inc(5.0);
-  EXPECT_TRUE(inc.check({}));            // empty swarm is trivially connected
-  EXPECT_TRUE(inc.check({{1.0, 1.0}}));  // single robot
+TEST(GridConnectivity, HandlesResizeAndDegenerate) {
+  net::GridConnectivity inc(5.0);
+  EXPECT_TRUE(inc.connected({}));            // empty swarm is trivially connected
+  EXPECT_TRUE(inc.connected({{1.0, 1.0}}));  // single robot
   std::vector<Vec2> two = {{0.0, 0.0}, {10.0, 0.0}};
-  EXPECT_FALSE(inc.check(two));
+  EXPECT_FALSE(inc.connected(two));
   two[1] = {4.0, 0.0};
-  EXPECT_TRUE(inc.check(two));
-  // Grow the swarm mid-stream: checker must re-anchor, not crash.
+  EXPECT_TRUE(inc.connected(two));
+  // Grow the swarm mid-stream: the buffers must regrow, not crash.
   std::vector<Vec2> three = {{0.0, 0.0}, {4.0, 0.0}, {8.0, 0.0}};
-  EXPECT_TRUE(inc.check(three));
+  EXPECT_TRUE(inc.connected(three));
 }
 
 // Reference verdict for ConnectivityMonitor: the unit-disk adjacency at
@@ -272,15 +276,22 @@ TEST(Connectivity, SingleAndEmpty) {
   EXPECT_TRUE(is_connected(std::vector<std::vector<int>>{{}}));
 }
 
+// Drains node v's inbox into a fresh vector.
+std::vector<Message> drain(Network& net, NodeId v) {
+  std::vector<Message> out;
+  net.take_inbox(v, out);
+  return out;
+}
+
 TEST(Network, DeliversNextRound) {
   Network net(std::vector<std::vector<NodeId>>{{1}, {0}});
   Message m;
   m.tag = 42;
   m.ints = {7};
   net.send(0, 1, std::move(m));
-  EXPECT_TRUE(net.take_inbox(1).empty());  // not delivered yet
+  EXPECT_TRUE(drain(net, 1).empty());  // not delivered yet
   EXPECT_TRUE(net.deliver_round());
-  auto inbox = net.take_inbox(1);
+  auto inbox = drain(net, 1);
   ASSERT_EQ(inbox.size(), 1u);
   EXPECT_EQ(inbox[0].tag, 42);
   EXPECT_EQ(inbox[0].src, 0);
@@ -300,9 +311,9 @@ TEST(Network, BroadcastReachesAllNeighbors) {
   m.tag = 1;
   net.broadcast(0, m);
   net.deliver_round();
-  EXPECT_EQ(net.take_inbox(1).size(), 1u);
-  EXPECT_EQ(net.take_inbox(2).size(), 1u);
-  EXPECT_TRUE(net.take_inbox(3).empty());
+  EXPECT_EQ(drain(net, 1).size(), 1u);
+  EXPECT_EQ(drain(net, 2).size(), 1u);
+  EXPECT_TRUE(drain(net, 3).empty());
   EXPECT_EQ(net.messages_sent(), 2u);
 }
 
@@ -315,7 +326,7 @@ TEST(Network, DeterministicDeliveryOrder) {
   net.send(1, 2, std::move(b));
   net.send(0, 2, std::move(a));
   net.deliver_round();
-  auto inbox = net.take_inbox(2);
+  auto inbox = drain(net, 2);
   ASSERT_EQ(inbox.size(), 2u);
   // Sorted by sender id regardless of send order.
   EXPECT_EQ(inbox[0].src, 0);
@@ -326,7 +337,7 @@ TEST(Network, StatsAndReset) {
   Network net(std::vector<std::vector<NodeId>>{{1}, {0}});
   net.send(0, 1, Message{});
   net.deliver_round();
-  net.take_inbox(1);
+  drain(net, 1);
   EXPECT_EQ(net.messages_sent(), 1u);
   EXPECT_EQ(net.rounds_elapsed(), 1u);
   net.reset_stats();
@@ -343,7 +354,7 @@ TEST(Network, QuiescenceTracksUndrainedInboxes) {
   net.send(0, 1, Message{});
   net.deliver_round();
   EXPECT_FALSE(net.quiescent());  // message sits in inbox
-  net.take_inbox(1);
+  drain(net, 1);
   EXPECT_TRUE(net.quiescent());
 }
 
@@ -360,7 +371,7 @@ TEST(Network, SeededLossIsDeterministic) {
       m.tag = k;
       net.send(0, 1, std::move(m));
       net.deliver_round();
-      for (const Message& d : net.take_inbox(1)) got.push_back(d.tag);
+      for (const Message& d : drain(net, 1)) got.push_back(d.tag);
     }
     return got;
   };
@@ -393,8 +404,8 @@ TEST(Network, ReliableDeliversExactlyOnceUnderLoss) {
   std::vector<int> got;
   for (int round = 0; round < 400 && !net.quiescent(); ++round) {
     net.deliver_round();
-    for (const Message& d : net.take_inbox(1)) got.push_back(d.tag);
-    net.take_inbox(0);  // drain acks' side effects (acks are not messages)
+    for (const Message& d : drain(net, 1)) got.push_back(d.tag);
+    drain(net, 0);  // drain acks' side effects (acks are not messages)
   }
   ASSERT_EQ(got.size(), static_cast<std::size_t>(kCount));
   std::sort(got.begin(), got.end());
@@ -428,7 +439,7 @@ TEST(Network, ScheduledLinkDropoutSuppressesDelivery) {
     m.tag = k;
     net.send(0, 1, std::move(m));  // sent at round k, due at round k + 1
     net.deliver_round();
-    for (const Message& d : net.take_inbox(1)) got.push_back(d.tag);
+    for (const Message& d : drain(net, 1)) got.push_back(d.tag);
   }
   // Deliveries due at rounds 2..5 (tags 1..4) died in the window.
   EXPECT_EQ(got, (std::vector<int>{0, 5, 6, 7, 8, 9}));
@@ -456,7 +467,7 @@ TEST(Network, InboxOrderDeterministicUnderDelays) {
         }
       }
       net.deliver_round();
-      for (const Message& d : net.take_inbox(4)) got.emplace_back(d.src, d.tag);
+      for (const Message& d : drain(net, 4)) got.emplace_back(d.src, d.tag);
     }
     return got;
   };
@@ -466,6 +477,270 @@ TEST(Network, InboxOrderDeterministicUnderDelays) {
   EXPECT_EQ(a.size(), 24u);  // delayed, never lost
   const auto c = run(18);
   EXPECT_NE(a, c);  // a different seed schedules differently
+}
+
+// Reference model of the delivery semantics, written the direct way: the
+// round's queue is copied, stable-sorted by (receiver, sender) — send
+// order kept within a pair — and walked. Loss and delay draws, acks,
+// retransmissions, expiry, duplicate suppression and link checks follow
+// the Network contract documented in network.h, so the model and the
+// Network must hand out the same inboxes in the same order.
+class ReferenceNetwork {
+ public:
+  ReferenceNetwork(std::vector<std::vector<NodeId>> adj, int max_delay,
+                   std::uint64_t delay_seed, double loss_p,
+                   std::uint64_t loss_seed, ReliabilityOptions rel,
+                   LinkOutageFn down)
+      : adj_(std::move(adj)),
+        inbox_(adj_.size()),
+        seen_(adj_.size()),
+        max_delay_(max_delay),
+        delay_state_(delay_seed * 0x9e3779b97f4a7c15ull +
+                     0xbf58476d1ce4e5b9ull),
+        loss_p_(loss_p),
+        loss_state_(splitmix64(loss_seed ^ 0x10551055c0ffee00ull)),
+        rel_(rel),
+        down_(std::move(down)) {}
+
+  void set_topology(std::vector<std::vector<NodeId>> adj) {
+    adj_ = std::move(adj);
+  }
+  bool linked(NodeId a, NodeId b) const {
+    const auto& nb = adj_[static_cast<std::size_t>(a)];
+    return std::binary_search(nb.begin(), nb.end(), b);
+  }
+  void send(NodeId from, NodeId to, Message m) {
+    transmit(from, to, std::move(m), false, false, 0);
+  }
+  void send_reliable(NodeId from, NodeId to, Message m) {
+    const std::uint64_t seq = next_seq_++;
+    unacked_.push_back({from, to, seq, 0,
+                        rounds_ + 1 +
+                            static_cast<std::size_t>(rel_.retry_interval),
+                        m});
+    transmit(from, to, std::move(m), false, true, seq);
+  }
+  void deliver_round() {
+    ++rounds_;
+    for (std::size_t i = 0; i < unacked_.size();) {
+      Unacked& u = unacked_[i];
+      if (u.next_retry > rounds_) {
+        ++i;
+        continue;
+      }
+      if (u.attempts >= rel_.max_retries) {
+        ++expired_;
+        unacked_.erase(unacked_.begin() + static_cast<std::ptrdiff_t>(i));
+        continue;
+      }
+      ++u.attempts;
+      ++retransmissions_;
+      u.next_retry = rounds_ + static_cast<std::size_t>(rel_.retry_interval);
+      transmit(u.from, u.to, u.msg, false, true, u.seq);
+      ++i;
+    }
+    std::vector<Pending> current;
+    current.swap(queue_);
+    std::stable_sort(current.begin(), current.end(),
+                     [](const Pending& a, const Pending& b) {
+                       if (a.to != b.to) return a.to < b.to;
+                       return a.msg.src < b.msg.src;
+                     });
+    std::vector<Pending> later;
+    for (Pending& p : current) {
+      if (p.due > rounds_) {
+        later.push_back(std::move(p));
+        continue;
+      }
+      if (!linked(p.msg.src, p.to) ||
+          (down_ && down_(p.msg.src, p.to, rounds_))) {
+        ++lost_;
+        continue;
+      }
+      if (p.ack) {
+        for (std::size_t i = 0; i < unacked_.size(); ++i) {
+          if (unacked_[i].seq == p.seq) {
+            unacked_.erase(unacked_.begin() + static_cast<std::ptrdiff_t>(i));
+            break;
+          }
+        }
+        continue;
+      }
+      if (p.reliable) {
+        if (linked(p.to, p.msg.src)) {
+          transmit(p.to, p.msg.src, Message{}, true, false, p.seq);
+        }
+        if (!seen_[static_cast<std::size_t>(p.to)].insert(p.seq).second) {
+          continue;
+        }
+      }
+      inbox_[static_cast<std::size_t>(p.to)].push_back(std::move(p.msg));
+      ++delivered_;
+    }
+    for (Pending& p : queue_) later.push_back(std::move(p));
+    queue_ = std::move(later);
+  }
+  std::vector<Message> take(NodeId v) {
+    return std::exchange(inbox_[static_cast<std::size_t>(v)], {});
+  }
+
+  std::size_t sent_ = 0, lost_ = 0, delivered_ = 0, retransmissions_ = 0,
+              expired_ = 0;
+
+ private:
+  struct Pending {
+    NodeId to;
+    std::size_t due;
+    bool ack;
+    bool reliable;
+    std::uint64_t seq;
+    Message msg;
+  };
+  struct Unacked {
+    NodeId from, to;
+    std::uint64_t seq;
+    int attempts;
+    std::size_t next_retry;
+    Message msg;
+  };
+
+  void transmit(NodeId from, NodeId to, Message m, bool ack, bool reliable,
+                std::uint64_t seq) {
+    m.src = from;
+    ++sent_;
+    if (loss_p_ > 0.0) {
+      loss_state_ = splitmix64(loss_state_);
+      if (static_cast<double>(loss_state_ >> 11) * 0x1.0p-53 < loss_p_) {
+        ++lost_;
+        return;
+      }
+    }
+    std::size_t delay = 1;
+    if (max_delay_ > 1) {
+      delay_state_ += 0x9e3779b97f4a7c15ull;
+      std::uint64_t z = delay_state_;
+      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+      z ^= z >> 31;
+      delay = 1 + static_cast<std::size_t>(
+                      z % static_cast<std::uint64_t>(max_delay_));
+    }
+    queue_.push_back({to, rounds_ + delay, ack, reliable, seq, std::move(m)});
+  }
+
+  std::vector<std::vector<NodeId>> adj_;
+  std::vector<std::vector<Message>> inbox_;
+  std::vector<std::unordered_set<std::uint64_t>> seen_;
+  std::vector<Pending> queue_;
+  std::vector<Unacked> unacked_;
+  int max_delay_;
+  std::uint64_t delay_state_;
+  double loss_p_;
+  std::uint64_t loss_state_;
+  ReliabilityOptions rel_;
+  LinkOutageFn down_;
+  std::size_t rounds_ = 0;
+  std::uint64_t next_seq_ = 1;
+};
+
+// Delivery order under every hostile knob at once — multi-round delays,
+// loss, acks, retransmissions and expiry, scripted outages, and a fresh
+// unit-disk topology swapped in every round while traffic is in flight —
+// equals the stable-sort reference message for message.
+TEST(Network, DeliveryOrderMatchesStableSortReference) {
+  const int n = 12;
+  const double r = 30.0;
+  Rng rng(2024);
+  std::vector<Vec2> pos = testutil::random_points(n, 0.0, 60.0, 5);
+  ReliabilityOptions rel;
+  rel.retry_interval = 2;
+  rel.max_retries = 3;
+  // Deterministic outage: a pair is down in rounds where a hash of
+  // (pair, round) falls in the lowest eighth.
+  LinkOutageFn down = [](NodeId a, NodeId b, std::size_t round) {
+    return splitmix64(static_cast<std::uint64_t>(a * 131 + b) * 7919u +
+                      round) %
+               8 ==
+           0;
+  };
+  Network net(unit_disk_adjacency(pos, r));
+  net.set_link_delays(3, 41);
+  net.set_message_loss(0.15, 43);
+  net.set_reliability(rel);
+  net.set_link_outage(down);
+  ReferenceNetwork ref(unit_disk_adjacency(pos, r), 3, 41, 0.15, 43, rel,
+                       down);
+
+  std::vector<Message> got;
+  std::size_t compared = 0;
+  for (int round = 0; round < 120; ++round) {
+    if (round < 100) {
+      for (int v = 0; v < n; ++v) {
+        for (NodeId u : net.neighbors(v)) {
+          const double draw = rng.uniform(0.0, 1.0);
+          if (draw < 0.5) continue;
+          Message m;
+          m.tag = round * 1000 + v * 10 + u % 10;
+          m.ints = {v, u, round};
+          if (draw < 0.8) {
+            ref.send(v, u, m);
+            net.send(v, u, std::move(m));
+          } else {
+            ref.send_reliable(v, u, m);
+            net.send_reliable(v, u, std::move(m));
+          }
+        }
+      }
+    }
+    // Robots drift; the new topology replaces the old mid-flight.
+    for (Vec2& p : pos) {
+      p.x += rng.uniform(-3.0, 3.0);
+      p.y += rng.uniform(-3.0, 3.0);
+    }
+    std::vector<std::vector<NodeId>> adj = unit_disk_adjacency(pos, r);
+    ref.set_topology(adj);
+    net.swap_topology(adj);
+    net.deliver_round();
+    ref.deliver_round();
+    for (int v = 0; v < n; ++v) {
+      net.take_inbox(v, got);
+      const std::vector<Message> want = ref.take(v);
+      ASSERT_EQ(got.size(), want.size()) << "round " << round << " node " << v;
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        ASSERT_EQ(got[k].src, want[k].src) << "round " << round;
+        ASSERT_EQ(got[k].tag, want[k].tag) << "round " << round;
+        ASSERT_EQ(got[k].ints, want[k].ints) << "round " << round;
+      }
+      compared += got.size();
+    }
+  }
+  EXPECT_EQ(net.messages_sent(), ref.sent_);
+  EXPECT_EQ(net.messages_lost(), ref.lost_);
+  EXPECT_EQ(net.messages_delivered(), ref.delivered_);
+  EXPECT_EQ(net.retransmissions(), ref.retransmissions_);
+  EXPECT_EQ(net.messages_expired(), ref.expired_);
+  // Every knob actually engaged.
+  EXPECT_GT(compared, 1000u);
+  EXPECT_GT(net.retransmissions(), 0u);
+  EXPECT_GT(net.messages_expired(), 0u);
+  EXPECT_GT(net.messages_lost(), 0u);
+  EXPECT_GT(net.duplicates_suppressed(), 0u);
+}
+
+// swap_topology hands the previous rows back and refuses rows the
+// delivery check cannot binary-search.
+TEST(Network, SwapTopologyReturnsPreviousRowsAndChecksThem) {
+  Network net(std::vector<std::vector<NodeId>>{{1}, {0}, {}});
+  std::vector<std::vector<NodeId>> rows{{1, 2}, {0}, {0}};
+  net.swap_topology(rows);
+  EXPECT_TRUE(net.linked(0, 2));
+  EXPECT_EQ(rows, (std::vector<std::vector<NodeId>>{{1}, {0}, {}}));
+  std::vector<std::vector<NodeId>> unsorted{{2, 1}, {0}, {0}};
+  EXPECT_THROW(net.swap_topology(unsorted), ContractViolation);
+  std::vector<std::vector<NodeId>> self{{0}, {}, {}};
+  EXPECT_THROW(net.swap_topology(self), ContractViolation);
+  std::vector<std::vector<NodeId>> wrong_size{{1}, {0}};
+  EXPECT_THROW(net.swap_topology(wrong_size), ContractViolation);
 }
 
 }  // namespace

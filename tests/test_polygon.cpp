@@ -1,10 +1,18 @@
 // Unit + property tests: Polygon operations and half-plane clipping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string_view>
+#include <vector>
 
+#include "common/hash.h"
+#include "coverage/grid_cvt.h"
+#include "foi/scenario.h"
 #include "geom/polygon.h"
 #include "geom/polygon_clip.h"
+#include "geom/segment.h"
 #include "test_util.h"
 
 namespace anr {
@@ -162,6 +170,154 @@ TEST_P(ClipProperty, BisectorPartitionsArea) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClipProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
+
+// Containment as it stood before the bounding-box prefilter: the distance
+// to every edge, then the crossing number. Polygon::contains must return
+// the same boolean for every point.
+bool reference_contains(const Polygon& poly, Vec2 p) {
+  const std::vector<Vec2>& pts = poly.points();
+  if (pts.size() < 3) return false;
+  const std::size_t n = pts.size();
+  bool inside = false;
+  for (std::size_t i = 0, j = n - 1; i < n; j = i++) {
+    Vec2 a = pts[j], b = pts[i];
+    if (point_segment_distance(p, Segment{a, b}) < 1e-9) return true;
+    bool straddles = (b.y > p.y) != (a.y > p.y);
+    if (straddles) {
+      double x_cross = b.x + (p.y - b.y) * (a.x - b.x) / (a.y - b.y);
+      if (p.x < x_cross) inside = !inside;
+    }
+  }
+  return inside;
+}
+
+// Probe points around the edges and vertices (every edge of a small
+// polygon, about 16 spread over a large one): offsets from 0 through the
+// 1e-9 boundary tolerance and the 1e-6 prefilter margin, along the edge
+// normal, along the edge past its endpoints, and diagonally.
+std::vector<Vec2> near_boundary_probes(const Polygon& poly) {
+  const std::vector<double> deltas = {0.0,   1e-12, 1e-11, 1e-10, 5e-10,
+                                      9e-10, 1e-9,  2e-9,  1e-8,  1e-7,
+                                      9e-7,  1e-6,  1.000001e-6,    2e-6,
+                                      1e-5};
+  std::vector<Vec2> out;
+  const std::vector<Vec2>& pts = poly.points();
+  const std::size_t n = pts.size();
+  for (std::size_t i = 0; i < n; i += std::max<std::size_t>(1, n / 16)) {
+    const Vec2 a = pts[i], b = pts[(i + 1) % n];
+    const Vec2 d = b - a;
+    const double len = d.norm();
+    const Vec2 dir = len > 0.0 ? d / len : Vec2{1.0, 0.0};
+    const Vec2 normal{-dir.y, dir.x};
+    for (double delta : deltas) {
+      for (double sign : {-1.0, 1.0}) {
+        const double o = sign * delta;
+        for (double t : {0.0, 0.25, 0.5, 1.0}) {
+          out.push_back(lerp(a, b, t) + normal * o);
+        }
+        out.push_back(a - dir * delta + normal * o);
+        out.push_back(b + dir * delta + normal * o);
+        out.push_back(a + Vec2{o, 0.0});
+        out.push_back(a + Vec2{0.0, o});
+        out.push_back(a + Vec2{o, o});
+        out.push_back(a + Vec2{o, -o});
+      }
+    }
+  }
+  return out;
+}
+
+int count_mismatches(const Polygon& poly, const std::vector<Vec2>& probes) {
+  int bad = 0;
+  for (Vec2 p : probes) {
+    if (poly.contains(p) != reference_contains(poly, p)) {
+      ADD_FAILURE() << "contains(" << p.x << ", " << p.y
+                    << ") differs from the unfiltered reference";
+      if (++bad >= 5) break;
+    }
+  }
+  return bad;
+}
+
+Polygon shifted(const Polygon& poly, Vec2 by) {
+  std::vector<Vec2> pts = poly.points();
+  for (Vec2& p : pts) p += by;
+  return Polygon(std::move(pts));
+}
+
+TEST(PointInPolygon, PrefilterMatchesUnfilteredReference) {
+  std::vector<Polygon> polys = {
+      make_rect({0, 0}, {10, 10}),
+      Polygon({{0, 0}, {4, 0}, {4, 2}, {2, 2}, {2, 4}, {0, 4}}),
+      make_circle({3.0, -2.0}, 7.5, 48),
+      // Zero-length edges: repeated vertices, including the closing edge.
+      Polygon({{0, 0}, {5, 0}, {5, 0}, {5, 5}, {2, 7}, {2, 7}, {0, 5}, {0, 0}}),
+      // Horizontal and vertical runs plus a sliver spike.
+      Polygon({{0, 0}, {6, 0}, {6, 1e-7}, {6.5, 3}, {6, 3}, {0, 3}}),
+  };
+  for (int id = 1; id <= 6; ++id) {
+    const Scenario sc = scenario(id);
+    polys.push_back(sc.m1.outer());
+    polys.push_back(sc.m2_shape.outer());
+    for (const Polygon& h : sc.m2_shape.holes()) polys.push_back(h);
+  }
+  const std::size_t base = polys.size();
+  for (std::size_t k = 0; k < base; ++k) {
+    polys.push_back(shifted(polys[k], {1e6, -1e6}));
+    polys.push_back(shifted(polys[k], {3e7, 2e8}));
+  }
+
+  std::uint64_t seed = 11;
+  for (const Polygon& poly : polys) {
+    BBox bb = poly.bbox();
+    const double pad = 0.1 * std::max(bb.width(), bb.height());
+    std::vector<Vec2> probes = near_boundary_probes(poly);
+    Rng rng(seed++);
+    for (int k = 0; k < 1000; ++k) {
+      probes.push_back({rng.uniform(bb.lo.x - pad, bb.hi.x + pad),
+                        rng.uniform(bb.lo.y - pad, bb.hi.y + pad)});
+    }
+    ASSERT_EQ(count_mismatches(poly, probes), 0)
+        << "polygon with " << poly.size() << " vertices near (" << bb.lo.x
+        << ", " << bb.lo.y << ")";
+  }
+}
+
+// The CVT sample lattice of every scenario's M2 is a raster of contains()
+// verdicts. Pinned as (count, fnv1a64 of the sample bytes) from the
+// unfiltered implementation, so any changed verdict on the raster shows.
+TEST(PointInPolygon, GridCvtSampleSetsPinned) {
+  struct Pin {
+    int scenario;
+    int target;
+    std::size_t count;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {1, 4000, 3989, 0x3c1df00bd69548d4ull},
+      {1, 8000, 8001, 0xb6d358caac57ba02ull},
+      {2, 4000, 3995, 0x38fec9eadf9b8022ull},
+      {2, 8000, 7991, 0x8a2918f62cb6d371ull},
+      {3, 4000, 3998, 0x300c180edc97362bull},
+      {3, 8000, 7991, 0x774ef8330df1eac9ull},
+      {4, 4000, 3996, 0x6ec2a90fff733d39ull},
+      {4, 8000, 8001, 0x29cb3d25fee62028ull},
+      {5, 4000, 3994, 0xb2ad138f9d9d1643ull},
+      {5, 8000, 7988, 0xebcebda7b717609eull},
+      {6, 4000, 3997, 0x27f6f78d2accf1c4ull},
+      {6, 8000, 7998, 0xcaa65b6a60f6addbull},
+  };
+  for (const Pin& pin : pins) {
+    const GridCvt cvt(scenario(pin.scenario).m2_shape, uniform_density(),
+                      pin.target);
+    const std::vector<Vec2>& s = cvt.samples();
+    EXPECT_EQ(s.size(), pin.count) << "scenario " << pin.scenario;
+    EXPECT_EQ(fnv1a64(std::string_view(reinterpret_cast<const char*>(s.data()),
+                                       s.size() * sizeof(Vec2))),
+              pin.hash)
+        << "scenario " << pin.scenario << " at " << pin.target << " samples";
+  }
+}
 
 }  // namespace
 }  // namespace anr
